@@ -9,6 +9,7 @@
 //! annotation saying what bounds them.
 
 use super::{is_path_seq, Violation};
+use crate::lexer::Token;
 use crate::model::{Area, Workspace};
 
 const SCOPE: [&str; 5] = ["core", "net", "wire", "groups", "streams"];
@@ -24,8 +25,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
             if file.is_test_line(line) {
                 continue;
             }
-            let unbounded_call =
-                code[i].text == "unbounded" && code.get(i + 1).and_then(|t| t.punct()) == Some('(');
+            let unbounded_call = code[i].text == "unbounded" && opens_call(&code, i + 1);
             let std_mpsc = is_path_seq(&code, i, "mpsc", "channel");
             if unbounded_call || std_mpsc {
                 out.push(Violation {
@@ -42,4 +42,27 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
             }
         }
     }
+}
+
+/// Whether `code[i..]` opens a call's argument list: `(` directly, or a
+/// turbofish `::<…>` first (`unbounded::<Job>()`).
+fn opens_call(code: &[&Token], mut i: usize) -> bool {
+    let punct = |i: usize| code.get(i).and_then(|t| t.punct());
+    if punct(i) == Some(':') && punct(i + 1) == Some(':') && punct(i + 2) == Some('<') {
+        let mut depth = 0usize;
+        i += 2;
+        loop {
+            match punct(i) {
+                Some('<') => depth += 1,
+                Some('>') => depth -= 1,
+                None if i >= code.len() => return false,
+                _ => {}
+            }
+            i += 1;
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    punct(i) == Some('(')
 }

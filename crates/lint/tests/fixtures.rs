@@ -208,7 +208,7 @@ fn l6_allow_suppresses() {
 
 #[test]
 fn l7_positive_flags_unbounded_and_std_mpsc() {
-    assert_eq!(count("l7", "positive"), 2);
+    assert_eq!(count("l7", "positive"), 3);
 }
 
 #[test]

@@ -45,4 +45,4 @@ pub use rex::{CallQos, RexEndpoint, RexError, RexRequest};
 pub use scrape::ScrapeServer;
 pub use sim::{LinkConfig, NetFault, SimNet, SimNetConfig, SimNetStats};
 pub use tcp::TcpNetwork;
-pub use transport::{Endpoint, Envelope, NetError, Transport};
+pub use transport::{Endpoint, Envelope, FrameSink, NetError, Transport};

@@ -23,7 +23,7 @@
 //! REX-level error always means an engineering failure (unreachable,
 //! timeout), never an application outcome.
 
-use crate::transport::{Endpoint, NetError, Transport};
+use crate::transport::{Envelope, NetError, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use odp_telemetry::TraceContext;
@@ -143,9 +143,9 @@ pub struct RexRequest {
     /// control queues (and sheds) by it under overload.
     pub priority: CallPriority,
     /// Absolute deadline reconstructed from the envelope's relative
-    /// budget, anchored at the frame's *arrival* instant so queueing
-    /// delay inside this endpoint counts against it. `None` when the
-    /// caller sent no budget (announcements).
+    /// budget, anchored when the transport hands the frame to this
+    /// endpoint, so time queued for a worker counts against it. `None`
+    /// when the caller sent no budget (announcements).
     pub deadline: Option<Instant>,
 }
 
@@ -196,7 +196,7 @@ enum Parsed {
         trace: TraceContext,
         priority: CallPriority,
         /// Relative deadline budget in microseconds (`0` = none); the
-        /// demux anchors it to the arrival instant.
+        /// frame sink anchors it to the arrival instant.
         budget_micros: u64,
         iface: InterfaceId,
         op: String,
@@ -277,7 +277,7 @@ pub struct RexEndpoint {
     next_call: AtomicU64,
     handler: Mutex<Option<Handler>>,
     server: Mutex<ServerState>,
-    running: Arc<AtomicBool>,
+    running: AtomicBool,
     job_tx: Sender<RexJob>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Calls issued (for experiment accounting).
@@ -300,8 +300,8 @@ struct RexJob {
     trace: TraceContext,
     priority: CallPriority,
     /// Absolute deadline anchored at arrival; `None` when no budget was
-    /// sent. Anchoring happens in the demux thread so time spent queued
-    /// behind other jobs counts against the caller's budget.
+    /// sent. The frame sink anchors it before queueing the job, so time
+    /// spent behind other jobs counts against the caller's budget.
     deadline: Option<Instant>,
     iface: InterfaceId,
     op: String,
@@ -310,8 +310,10 @@ struct RexJob {
 }
 
 impl RexEndpoint {
-    /// Registers `node` on `transport` and starts the demultiplexer plus
-    /// `workers` handler threads.
+    /// Registers `node` on `transport` and starts `workers` handler
+    /// threads. Frames are parsed on the transport's delivering thread:
+    /// replies go straight to their waiting caller, requests onto the
+    /// workers' job queue.
     ///
     /// # Errors
     ///
@@ -321,7 +323,6 @@ impl RexEndpoint {
         node: NodeId,
         workers: usize,
     ) -> Result<Arc<Self>, NetError> {
-        let endpoint = transport.register(node)?;
         let (job_tx, job_rx) = unbounded::<RexJob>();
         let ep = Arc::new(Self {
             node,
@@ -343,7 +344,7 @@ impl RexEndpoint {
                 order: VecDeque::new(),
                 executing: HashSet::new(),
             }),
-            running: Arc::new(AtomicBool::new(true)),
+            running: AtomicBool::new(true),
             job_tx,
             threads: Mutex::new(Vec::new()),
             calls_sent: AtomicU64::new(0),
@@ -352,19 +353,21 @@ impl RexEndpoint {
             deadlines_expired: AtomicU64::new(0),
             malformed_dropped: AtomicU64::new(0),
         });
-        let mut threads = Vec::new();
-        let demux_ep = Arc::clone(&ep);
-        match std::thread::Builder::new()
-            .name(format!("rex-demux-{node}"))
-            .spawn(move || demux_ep.demux(&endpoint))
-        {
-            Ok(h) => threads.push(h),
-            Err(e) => {
-                ep.running.store(false, Ordering::SeqCst);
-                ep.transport.deregister(node);
-                return Err(NetError::Io(format!("spawn demux thread: {e}")));
-            }
+        let sink_ep = Arc::downgrade(&ep);
+        let registered = ep.transport.register(
+            node,
+            Arc::new(move |env| {
+                if let Some(ep) = sink_ep.upgrade() {
+                    ep.deliver(env);
+                }
+            }),
+        );
+        if let Err(e) = registered {
+            // Not ours to deregister: the id may belong to a live endpoint.
+            ep.running.store(false, Ordering::SeqCst);
+            return Err(e);
         }
+        let mut threads = Vec::new();
         for w in 0..workers.max(1) {
             let worker_ep = Arc::clone(&ep);
             let rx = job_rx.clone();
@@ -574,70 +577,60 @@ impl RexEndpoint {
         }
     }
 
-    fn demux(self: &Arc<Self>, endpoint: &Endpoint) {
-        loop {
-            let env = match endpoint.recv_timeout(Duration::from_millis(100)) {
-                Ok(env) => env,
-                Err(NetError::Timeout) => {
-                    if self.running.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    return;
+    /// The transport's sink: runs on the delivering thread, so it only
+    /// parses and hands off, and never blocks.
+    fn deliver(&self, env: Envelope) {
+        let from = env.from;
+        let frame_len = env.payload.len();
+        match parse(env.payload) {
+            Ok(Parsed::Reply { call_id, body }) => {
+                // Take the waiter out under the lock, deliver after
+                // releasing it: an `if let` on the locked map would pin
+                // the scrutinee temporary — and the pending-map lock —
+                // across the channel send.
+                let waiter = self.pending.lock().remove(&call_id);
+                if let Some(tx) = waiter {
+                    // odp-lint: allow(l6, reason = "receiver gone means the caller timed out; dropping the late reply is the protocol's answer")
+                    let _ = tx.send(body);
                 }
-                Err(_) => return,
-            };
-            let from = env.from;
-            let frame_len = env.payload.len();
-            match parse(env.payload) {
-                Ok(Parsed::Reply { call_id, body }) => {
-                    // Take the waiter out under the lock, deliver after
-                    // releasing it: an `if let` on the locked map would pin
-                    // the scrutinee temporary — and the pending-map lock —
-                    // across the channel send.
-                    let waiter = self.pending.lock().remove(&call_id);
-                    if let Some(tx) = waiter {
-                        // odp-lint: allow(l6, reason = "receiver gone means the caller timed out; dropping the late reply is the protocol's answer")
-                        let _ = tx.send(body);
-                    }
-                    // Late replies after timeout are silently dropped.
-                }
-                Ok(Parsed::Request {
+                // Late replies after timeout are silently dropped.
+            }
+            Ok(Parsed::Request {
+                call_id,
+                trace,
+                priority,
+                budget_micros,
+                iface,
+                op,
+                body,
+                announcement,
+            }) => {
+                let deadline = (budget_micros > 0)
+                    .then(|| Instant::now() + Duration::from_micros(budget_micros));
+                // odp-lint: allow(l6, reason = "send fails only after shutdown closed the worker pool; the peer retries by deadline")
+                let _ = self.job_tx.send(RexJob {
+                    from,
                     call_id,
                     trace,
                     priority,
-                    budget_micros,
+                    deadline,
                     iface,
                     op,
                     body,
                     announcement,
-                }) => {
-                    let deadline = (budget_micros > 0)
-                        .then(|| Instant::now() + Duration::from_micros(budget_micros));
-                    // odp-lint: allow(l6, reason = "send fails only after shutdown closed the worker pool; the peer retries by deadline")
-                    let _ = self.job_tx.send(RexJob {
-                        from,
-                        call_id,
-                        trace,
-                        priority,
-                        deadline,
-                        iface,
-                        op,
-                        body,
-                        announcement,
-                    });
-                }
-                Err(_) => {
-                    // Hostile or corrupt peer: drop, never crash (§4.2) —
-                    // but count the drop and leave a failure event on the
-                    // timeline so corruption is observable.
-                    self.malformed_dropped.fetch_add(1, Ordering::Relaxed);
-                    odp_telemetry::hub().event(
-                        "rex.malformed",
-                        self.node.raw(),
-                        0,
-                        format!("dropped {frame_len}-byte frame from {from}"),
-                    );
-                }
+                });
+            }
+            Err(_) => {
+                // Hostile or corrupt peer: drop, never crash (§4.2) —
+                // but count the drop and leave a failure event on the
+                // timeline so corruption is observable.
+                self.malformed_dropped.fetch_add(1, Ordering::Relaxed);
+                odp_telemetry::hub().event(
+                    "rex.malformed",
+                    self.node.raw(),
+                    0,
+                    format!("dropped {frame_len}-byte frame from {from}"),
+                );
             }
         }
     }
@@ -933,6 +926,63 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(seen.load(Ordering::SeqCst), 5);
+    }
+
+    #[test]
+    fn new_spawns_one_thread_per_worker_and_no_other() {
+        let net = SimNet::perfect();
+        let ep = RexEndpoint::new(Arc::new(net), NodeId(1), 3).unwrap();
+        let names: Vec<String> = ep
+            .threads
+            .lock()
+            .iter()
+            .filter_map(|t| t.thread().name().map(str::to_owned))
+            .collect();
+        ep.shutdown();
+        assert_eq!(names.len(), 3, "{names:?}");
+        assert!(
+            names.iter().all(|n| n.starts_with("rex-worker-")),
+            "{names:?}"
+        );
+    }
+
+    #[test]
+    fn nested_call_completes_while_the_only_worker_waits() {
+        // `b` has one worker and its handler calls `c`, so `c`'s reply
+        // arrives while that worker is blocked waiting for it. Delivery
+        // must not need a free REX thread on `b`.
+        let net = SimNet::perfect();
+        let t: Arc<dyn Transport> = Arc::new(net);
+        let a = RexEndpoint::new(Arc::clone(&t), NodeId(1), 1).unwrap();
+        let b = RexEndpoint::new(Arc::clone(&t), NodeId(2), 1).unwrap();
+        let c = RexEndpoint::new(t, NodeId(3), 1).unwrap();
+        c.set_handler(echo_handler());
+        let qos = CallQos::with_deadline(Duration::from_secs(4));
+        let inner = Arc::downgrade(&b);
+        b.set_handler(Arc::new(move |req: RexRequest| {
+            let b = inner.upgrade().expect("endpoint outlives its handler");
+            let reply = b
+                .call(NodeId(3), InterfaceId(1), "echo", &req.body, qos)
+                .expect("nested call");
+            PooledBuf::from_slice(&reply)
+        }));
+        let start = Instant::now();
+        for i in 0..20u64 {
+            let body = i.to_be_bytes();
+            let reply = a
+                .call(NodeId(2), InterfaceId(1), "relay", &body, qos)
+                .unwrap();
+            assert_eq!(reply, Bytes::copy_from_slice(&body));
+        }
+        // No call needed a retransmission, let alone its deadline.
+        assert!(
+            start.elapsed() < qos.retry_interval,
+            "{:?}",
+            start.elapsed()
+        );
+        for ep in [a, b, c] {
+            ep.shutdown();
+        }
     }
 
     #[test]

@@ -4,16 +4,17 @@
 //! table in DESIGN.md): an in-process [`Transport`] whose links have
 //! configurable base latency, jitter, loss probability and partitions, all
 //! driven by a **seeded** RNG so that every test and benchmark run is
-//! reproducible. A single delivery thread drains a time-ordered heap, which
-//! keeps cross-link ordering faithful to the configured latencies.
+//! reproducible. Zero-delay frames are handed to the destination's sink on
+//! the sender's own thread; delayed frames wait in a time-ordered heap that
+//! a single pump thread drains, which keeps cross-link ordering faithful to
+//! the configured latencies. No sink ever runs under the network's lock.
 //!
 //! Fault injection is first-class because the paper insists applications
 //! face "variable latency in accessing resources and persistent failures
 //! disrupting access to resources" (§3): the failure, replication and
 //! relocation transparencies are *tested* by making this network misbehave.
 
-use crate::transport::{Endpoint, Envelope, NetError, Transport};
-use crossbeam::channel::{unbounded, Sender};
+use crate::transport::{Envelope, FrameSink, NetError, Transport};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 // `RngExt` supplies `random_range` on some rand versions; unused on others.
@@ -189,7 +190,7 @@ pub enum NetFault {
 
 #[derive(Default)]
 struct Inner {
-    nodes: HashMap<odp_types::NodeId, Sender<Envelope>>,
+    nodes: HashMap<odp_types::NodeId, FrameSink>,
     links: HashMap<(odp_types::NodeId, odp_types::NodeId), LinkConfig>,
     /// Unordered pairs that cannot communicate.
     partitions: HashSet<(odp_types::NodeId, odp_types::NodeId)>,
@@ -199,6 +200,9 @@ struct Inner {
     fault_log: Vec<NetFault>,
     queue: BinaryHeap<Scheduled>,
     next_seq: u64,
+    /// The pump has popped due frames and is delivering them outside the
+    /// lock; zero-delay sends queue behind them so per-link order holds.
+    pump_delivering: bool,
 }
 
 /// The simulated network. Clone-able handle; all clones share state.
@@ -227,7 +231,13 @@ impl Drop for PumpGuard {
             let _g = self.inner.lock();
             self.wake.notify_all();
         }
-        if let Some(h) = self.handle.lock().take() {
+        // The last handle may die inside a sink the pump is running.
+        if let Some(h) = self
+            .handle
+            .lock()
+            .take()
+            .filter(|h| h.thread().id() != std::thread::current().id())
+        {
             // odp-lint: allow(l6, reason = "drop-path join; a panicked pump cannot be recovered here")
             let _ = h.join();
         }
@@ -403,26 +413,39 @@ impl SimNet {
     }
 
     fn pump(inner: &Mutex<Inner>, wake: &Condvar, running: &AtomicBool, stats: &SimNetStats) {
+        let mut due = Vec::new();
         let mut guard = inner.lock();
         loop {
             if !running.load(Ordering::SeqCst) {
                 return;
             }
+            // Pop everything due under the lock; deliver after releasing it,
+            // since a sink may itself send.
             let now = Instant::now();
-            // Deliver everything due.
             while guard.queue.peek().is_some_and(|s| s.due <= now) {
-                // odp-lint: allow(l1, reason = "peek on the line above proves the heap is non-empty")
-                let sched = guard.queue.pop().expect("peeked");
-                if let Some(tx) = guard.nodes.get(&sched.env.to) {
-                    // odp-lint: allow(l2, reason = "endpoint inboxes are unbounded, send never blocks; the scheduler lock is the delivery order")
-                    if tx.send(sched.env).is_ok() {
-                        stats.delivered.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        stats.dead_lettered.fetch_add(1, Ordering::Relaxed);
+                let Some(sched) = guard.queue.pop() else {
+                    break;
+                };
+                let sink = guard.nodes.get(&sched.env.to).cloned();
+                due.push((sink, sched.env));
+            }
+            if !due.is_empty() {
+                guard.pump_delivering = true;
+                drop(guard);
+                for (sink, env) in due.drain(..) {
+                    match sink {
+                        Some(sink) => {
+                            stats.delivered.fetch_add(1, Ordering::Relaxed);
+                            sink(env);
+                        }
+                        None => {
+                            stats.dead_lettered.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
-                } else {
-                    stats.dead_lettered.fetch_add(1, Ordering::Relaxed);
                 }
+                guard = inner.lock();
+                guard.pump_delivering = false;
+                continue;
             }
             match guard.queue.peek().map(|s| s.due) {
                 Some(due) => {
@@ -440,74 +463,62 @@ impl SimNet {
 }
 
 impl Transport for SimNet {
-    fn register(&self, node: odp_types::NodeId) -> Result<Endpoint, NetError> {
+    fn register(&self, node: odp_types::NodeId, sink: FrameSink) -> Result<(), NetError> {
         let mut inner = self.inner.lock();
         if inner.nodes.contains_key(&node) {
             return Err(NetError::AlreadyRegistered(node));
         }
-        // odp-lint: allow(l7, reason = "sim fabric inbox; occupancy is bounded by the scheduler heap which delivers in due order")
-        let (tx, rx) = unbounded();
-        inner.nodes.insert(node, tx);
-        Ok(Endpoint::new(node, rx))
+        inner.nodes.insert(node, sink);
+        Ok(())
     }
 
     fn deregister(&self, node: odp_types::NodeId) {
-        self.inner.lock().nodes.remove(&node);
+        // The sink is dropped after the lock is released.
+        let _sink = self.inner.lock().nodes.remove(&node);
     }
 
     fn send(&self, env: Envelope) -> Result<(), NetError> {
         if !self.running.load(Ordering::SeqCst) {
             return Err(NetError::Closed);
         }
-        let link;
-        {
-            let inner = self.inner.lock();
-            if !inner.nodes.contains_key(&env.to) {
-                return Err(NetError::UnknownNode(env.to));
-            }
-            if inner.partitions.contains(&Self::pair(env.from, env.to)) {
-                self.stats.partitioned.fetch_add(1, Ordering::Relaxed);
-                // Partition drops are silent, like real packet loss: the
-                // sender learns only through timeouts.
-                self.stats.sent.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
-            link = inner
-                .links
-                .get(&(env.from, env.to))
-                .copied()
-                .unwrap_or(inner.default_link);
-        }
+        let mut inner = self.inner.lock();
+        let Some(sink) = inner.nodes.get(&env.to).cloned() else {
+            return Err(NetError::UnknownNode(env.to));
+        };
         self.stats.sent.fetch_add(1, Ordering::Relaxed);
+        if inner.partitions.contains(&Self::pair(env.from, env.to)) {
+            // Partition drops are silent, like real packet loss: the
+            // sender learns only through timeouts.
+            self.stats.partitioned.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
+        }
+        let link = inner
+            .links
+            .get(&(env.from, env.to))
+            .copied()
+            .unwrap_or(inner.default_link);
         self.stats
             .bytes
             .fetch_add(env.payload.len() as u64, Ordering::Relaxed);
-        let jitter = {
+        // Perfect links draw nothing, so a seeded run's loss and jitter
+        // sequence depends only on the imperfect links' traffic.
+        let mut delay = link.latency;
+        if link.loss > 0.0 || !link.jitter.is_zero() {
             let mut rng = self.rng.lock();
             if link.loss > 0.0 && rng.random_bool(link.loss) {
                 self.stats.lost.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
-            if link.jitter.is_zero() {
-                Duration::ZERO
-            } else {
-                Duration::from_nanos(rng.random_range(0..link.jitter.as_nanos() as u64))
+            if !link.jitter.is_zero() {
+                delay += Duration::from_nanos(rng.random_range(0..link.jitter.as_nanos() as u64));
             }
-        };
-        let delay = link.latency + jitter;
-        let mut inner = self.inner.lock();
-        // Fast path: zero-delay messages skip the heap entirely.
-        if delay.is_zero() && inner.queue.is_empty() {
-            if let Some(tx) = inner.nodes.get(&env.to) {
-                // odp-lint: allow(l2, reason = "endpoint inboxes are unbounded, send never blocks; registry lock orders the fast path against pump")
-                if tx.send(env).is_ok() {
-                    self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.stats.dead_lettered.fetch_add(1, Ordering::Relaxed);
-                }
-                return Ok(());
-            }
-            self.stats.dead_lettered.fetch_add(1, Ordering::Relaxed);
+        }
+        // Fast path: a zero-delay frame with nothing ahead of it in the
+        // fabric is delivered on this thread, after the lock is released.
+        if delay.is_zero() && inner.queue.is_empty() && !inner.pump_delivering {
+            drop(inner);
+            self.stats.delivered.fetch_add(1, Ordering::Relaxed);
+            sink(env);
             return Ok(());
         }
         let seq = inner.next_seq;
@@ -540,6 +551,7 @@ impl std::fmt::Debug for SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Endpoint;
     use bytes::Bytes;
     use odp_types::NodeId;
 
@@ -550,8 +562,8 @@ mod tests {
     #[test]
     fn zero_latency_delivery() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.send(env(1, 2, b"hi")).unwrap();
         let got = b.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(got.payload, Bytes::from_static(b"hi"));
@@ -561,9 +573,9 @@ mod tests {
     #[test]
     fn duplicate_registration_rejected() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
         assert_eq!(
-            net.register(NodeId(1)).unwrap_err(),
+            Endpoint::register(&net, NodeId(1)).unwrap_err(),
             NetError::AlreadyRegistered(NodeId(1))
         );
     }
@@ -571,7 +583,7 @@ mod tests {
     #[test]
     fn unknown_destination_rejected() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
         assert_eq!(
             net.send(env(1, 9, b"x")).unwrap_err(),
             NetError::UnknownNode(NodeId(9))
@@ -581,8 +593,8 @@ mod tests {
     #[test]
     fn latency_is_applied() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.set_link(
             NodeId(1),
             NodeId(2),
@@ -598,8 +610,8 @@ mod tests {
     #[test]
     fn latency_preserves_order_per_link() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.set_link(
             NodeId(1),
             NodeId(2),
@@ -622,8 +634,8 @@ mod tests {
     #[test]
     fn total_loss_drops_everything_silently() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.set_link(NodeId(1), NodeId(2), LinkConfig::with_loss(1.0));
         for _ in 0..20 {
             net.send(env(1, 2, b"gone")).unwrap();
@@ -643,8 +655,8 @@ mod tests {
                     seed: 42,
                     ..SimNetConfig::default()
                 });
-                let _a = net.register(NodeId(1)).unwrap();
-                let _b = net.register(NodeId(2)).unwrap();
+                let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+                let _b = Endpoint::register(&net, NodeId(2)).unwrap();
                 net.set_link(NodeId(1), NodeId(2), LinkConfig::with_loss(0.5));
                 for _ in 0..100 {
                     net.send(env(1, 2, b"x")).unwrap();
@@ -659,8 +671,8 @@ mod tests {
     #[test]
     fn partition_blocks_and_heals() {
         let net = SimNet::perfect();
-        let a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.partition(NodeId(1), NodeId(2));
         net.send(env(1, 2, b"blocked")).unwrap();
         net.send(env(2, 1, b"blocked")).unwrap();
@@ -677,9 +689,9 @@ mod tests {
     #[test]
     fn isolate_and_rejoin() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
-        let c = net.register(NodeId(3)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let c = Endpoint::register(&net, NodeId(3)).unwrap();
         net.isolate(NodeId(1));
         net.send(env(1, 2, b"x")).unwrap();
         net.send(env(1, 3, b"x")).unwrap();
@@ -693,8 +705,8 @@ mod tests {
     #[test]
     fn deregister_simulates_crash() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
-        let _b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let _b = Endpoint::register(&net, NodeId(2)).unwrap();
         assert!(net.is_registered(NodeId(2)));
         net.deregister(NodeId(2));
         assert!(!net.is_registered(NodeId(2)));
@@ -703,7 +715,7 @@ mod tests {
             NetError::UnknownNode(NodeId(2))
         );
         // Re-registering models a restart.
-        let b2 = net.register(NodeId(2)).unwrap();
+        let b2 = Endpoint::register(&net, NodeId(2)).unwrap();
         net.send(env(1, 2, b"hello again")).unwrap();
         assert!(b2.recv_timeout(Duration::from_secs(1)).is_ok());
     }
@@ -711,8 +723,8 @@ mod tests {
     #[test]
     fn fault_log_records_ordered_timeline() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
-        let _b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let _b = Endpoint::register(&net, NodeId(2)).unwrap();
         let burst = LinkConfig::with_loss(0.9);
         net.partition(NodeId(1), NodeId(2));
         net.heal(NodeId(1), NodeId(2));
@@ -732,8 +744,8 @@ mod tests {
     #[test]
     fn default_link_change_affects_unconfigured_links() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.set_default_link(LinkConfig::with_loss(1.0));
         for _ in 0..10 {
             net.send(env(1, 2, b"gone")).unwrap();
@@ -749,8 +761,8 @@ mod tests {
     #[test]
     fn stats_track_delivery() {
         let net = SimNet::perfect();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.send(env(1, 2, b"12345")).unwrap();
         b.recv_timeout(Duration::from_secs(1)).unwrap();
         let (sent, delivered, lost, part, dead) = net.stats().snapshot();
@@ -761,7 +773,7 @@ mod tests {
     #[test]
     fn shutdown_closes_endpoints() {
         let net = SimNet::perfect();
-        let b = net.register(NodeId(2)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         drop(net);
         assert_eq!(b.recv().unwrap_err(), NetError::Closed);
     }

@@ -20,10 +20,13 @@
 //! write+flush, so n concurrent callers cost ~1 syscall set instead of n
 //! serialized ones. Per-destination FIFO order is preserved: one queue,
 //! one writer.
+//!
+//! Reads are delivered in place: each accepted connection's reader thread
+//! parses frames and hands them straight to the node's sink.
 
-use crate::transport::{Endpoint, Envelope, NetError, Transport};
+use crate::transport::{Envelope, FrameSink, NetError, Transport};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use odp_telemetry::wire_stats;
 use odp_types::NodeId;
 use odp_wire::PooledBuf;
@@ -248,7 +251,7 @@ fn write_all_frames(stream: &mut TcpStream, batch: &[PooledBuf]) -> std::io::Res
 }
 
 impl Transport for TcpNetwork {
-    fn register(&self, node: NodeId) -> Result<Endpoint, NetError> {
+    fn register(&self, node: NodeId, sink: FrameSink) -> Result<(), NetError> {
         let mut dir = self.directory.lock();
         if dir.contains_key(&node) {
             return Err(NetError::AlreadyRegistered(node));
@@ -257,8 +260,6 @@ impl Transport for TcpNetwork {
         let addr = listener.local_addr().map_err(|e| io_err(&e))?;
         listener.set_nonblocking(true).map_err(|e| io_err(&e))?;
         let alive = Arc::new(AtomicBool::new(true));
-        // odp-lint: allow(l7, reason = "endpoint inbox; occupancy is bounded by peers' REX in-flight windows and deadline expiry")
-        let (tx, rx) = unbounded();
         dir.insert(
             node,
             NodeState {
@@ -270,14 +271,14 @@ impl Transport for TcpNetwork {
         let accept_alive = Arc::clone(&alive);
         if let Err(e) = std::thread::Builder::new()
             .name(format!("tcp-accept-{node}"))
-            .spawn(move || accept_loop(&listener, node, &tx, &accept_alive))
+            .spawn(move || accept_loop(&listener, node, &sink, &accept_alive))
         {
             // Without an acceptor the registration is useless: roll it back
             // and surface the failure instead of panicking.
             self.directory.lock().remove(&node);
             return Err(NetError::Io(format!("spawn accept thread: {e}")));
         }
-        Ok(Endpoint::new(node, rx))
+        Ok(())
     }
 
     fn deregister(&self, node: NodeId) {
@@ -319,20 +320,15 @@ impl Transport for TcpNetwork {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    node: NodeId,
-    tx: &Sender<Envelope>,
-    alive: &Arc<AtomicBool>,
-) {
+fn accept_loop(listener: &TcpListener, node: NodeId, sink: &FrameSink, alive: &Arc<AtomicBool>) {
     while alive.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let tx = tx.clone();
+                let sink = Arc::clone(sink);
                 let reader_alive = Arc::clone(alive);
                 if std::thread::Builder::new()
                     .name(format!("tcp-read-{node}"))
-                    .spawn(move || read_loop(stream, node, &tx, &reader_alive))
+                    .spawn(move || read_loop(stream, node, &sink, &reader_alive))
                     .is_err()
                 {
                     // Thread exhaustion: drop the connection (the sender
@@ -348,25 +344,18 @@ fn accept_loop(
     }
 }
 
-fn read_loop(mut stream: TcpStream, node: NodeId, tx: &Sender<Envelope>, alive: &Arc<AtomicBool>) {
+fn read_loop(mut stream: TcpStream, node: NodeId, sink: &FrameSink, alive: &Arc<AtomicBool>) {
     // Block on reads, but wake periodically so a deregistered node's reader
     // threads drain away.
     // odp-lint: allow(l6, reason = "without the timeout the reader still exits via connection teardown, just later")
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     while alive.load(Ordering::SeqCst) {
         match read_frame(&mut stream) {
-            Ok(Some((from, payload))) => {
-                if tx
-                    .send(Envelope {
-                        from,
-                        to: node,
-                        payload,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
+            Ok(Some((from, payload))) => sink(Envelope {
+                from,
+                to: node,
+                payload,
+            }),
             Ok(None) => return,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -401,12 +390,13 @@ impl std::fmt::Debug for TcpNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Endpoint;
 
     #[test]
     fn frames_round_trip_over_loopback() {
         let net = TcpNetwork::new();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.send(Envelope::new(
             NodeId(1),
             NodeId(2),
@@ -421,8 +411,8 @@ mod tests {
     #[test]
     fn many_messages_preserve_per_sender_order() {
         let net = TcpNetwork::new();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         for i in 0..100u32 {
             net.send(Envelope::new(
                 NodeId(1),
@@ -440,13 +430,13 @@ mod tests {
     #[test]
     fn unknown_node_and_duplicate_registration() {
         let net = TcpNetwork::new();
-        let _a = net.register(NodeId(1)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
         assert!(matches!(
             net.send(Envelope::new(NodeId(1), NodeId(9), Bytes::new())),
             Err(NetError::UnknownNode(_))
         ));
         assert!(matches!(
-            net.register(NodeId(1)),
+            Endpoint::register(&net, NodeId(1)),
             Err(NetError::AlreadyRegistered(_))
         ));
     }
@@ -454,8 +444,8 @@ mod tests {
     #[test]
     fn bidirectional_traffic() {
         let net = TcpNetwork::new();
-        let a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.send(Envelope::new(
             NodeId(1),
             NodeId(2),
@@ -481,8 +471,8 @@ mod tests {
     #[test]
     fn deregistered_node_unreachable() {
         let net = TcpNetwork::new();
-        let _a = net.register(NodeId(1)).unwrap();
-        let _b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let _b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.deregister(NodeId(2));
         assert!(!net.is_registered(NodeId(2)));
         assert!(net
@@ -493,7 +483,7 @@ mod tests {
     #[test]
     fn refused_connection_surfaces_unreachable() {
         let net = TcpNetwork::new();
-        let _a = net.register(NodeId(1)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
         // A port that was just bound and released: connecting to it is
         // refused (nothing listens), modelling a peer whose process died.
         let dead = TcpListener::bind("127.0.0.1:0")
@@ -517,8 +507,8 @@ mod tests {
     #[test]
     fn send_reconnects_after_reset() {
         let net = TcpNetwork::new();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         net.send(Envelope::new(
             NodeId(1),
             NodeId(2),
@@ -552,8 +542,8 @@ mod tests {
     #[test]
     fn writer_coalesces_queued_frames() {
         let net = TcpNetwork::new();
-        let _a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         let before = wire_stats().snapshot();
         for i in 0..64u32 {
             net.send_frame(NodeId(1), NodeId(2), &i.to_be_bytes())
@@ -575,7 +565,7 @@ mod tests {
         // Hand-craft a frame claiming MAX_FRAME+1 bytes; reader must drop
         // the connection, not allocate.
         let net = TcpNetwork::new();
-        let b = net.register(NodeId(2)).unwrap();
+        let b = Endpoint::register(&net, NodeId(2)).unwrap();
         let addr = net.addr_of(NodeId(2)).unwrap();
         let mut s = TcpStream::connect(addr).unwrap();
         let mut header = [0u8; 12];

@@ -7,9 +7,10 @@
 //! interchangeable behind the same engineering interface.
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
 use odp_types::NodeId;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One message in flight.
@@ -65,10 +66,18 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// The receiving side of a registered node.
+/// What a transport calls with each frame addressed to a registered node.
 ///
-/// Endpoints are handed out by [`Transport::register`] and consumed by the
-/// node's demultiplexer (one per capsule in the engineering model).
+/// The sink runs on whichever thread delivers the frame: the sender's own
+/// thread on SimNet's zero-delay path, SimNet's pump for delayed frames,
+/// a connection's reader thread over TCP. It must not block, and it must
+/// not take a lock that a sender may hold while calling
+/// [`Transport::send`]: the send may be the call that runs it.
+pub type FrameSink = Arc<dyn Fn(Envelope) + Send + Sync>;
+
+/// A queue-backed receiving side, for code that wants to pull frames
+/// rather than be called with them (tests, tools). Protocol engines
+/// register a [`FrameSink`] of their own instead.
 #[derive(Debug)]
 pub struct Endpoint {
     node: NodeId,
@@ -76,10 +85,23 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    /// Creates an endpoint from its parts (used by transport impls).
-    #[must_use]
-    pub fn new(node: NodeId, rx: Receiver<Envelope>) -> Self {
-        Self { node, rx }
+    /// Registers `node` on `transport` with a sink that queues every frame
+    /// for [`Endpoint::recv`].
+    ///
+    /// # Errors
+    ///
+    /// Any [`NetError`] from [`Transport::register`].
+    pub fn register(transport: &dyn Transport, node: NodeId) -> Result<Self, NetError> {
+        // odp-lint: allow(l7, reason = "pull-side adapter for tests and tools; its owner drains it")
+        let (tx, rx) = unbounded();
+        transport.register(
+            node,
+            Arc::new(move |env| {
+                // odp-lint: allow(l6, reason = "a dropped endpoint discards late frames, as a deregistered node would")
+                let _ = tx.send(env);
+            }),
+        )?;
+        Ok(Self { node, rx })
     }
 
     /// The node this endpoint receives for.
@@ -92,7 +114,7 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// [`NetError::Closed`] once the transport is dropped.
+    /// [`NetError::Closed`] once the transport has dropped the sink.
     pub fn recv(&self) -> Result<Envelope, NetError> {
         self.rx.recv().map_err(|_| NetError::Closed)
     }
@@ -128,15 +150,17 @@ impl Endpoint {
 /// from many threads: every layer of a capsule sends through the same
 /// transport handle.
 pub trait Transport: Send + Sync {
-    /// Registers `node` and returns its receiving endpoint.
+    /// Registers `node`; every frame addressed to it is handed to `sink`
+    /// on the delivering thread (see [`FrameSink`]).
     ///
     /// # Errors
     ///
     /// [`NetError::AlreadyRegistered`] if the id is taken.
-    fn register(&self, node: NodeId) -> Result<Endpoint, NetError>;
+    fn register(&self, node: NodeId, sink: FrameSink) -> Result<(), NetError>;
 
-    /// Removes a node; subsequent sends to it fail with
-    /// [`NetError::UnknownNode`]. Used to simulate crash-stop failures.
+    /// Removes a node and drops its sink; subsequent sends to it fail with
+    /// [`NetError::UnknownNode`]. Used to simulate crash-stop failures. A
+    /// frame already being delivered may still reach the old sink.
     fn deregister(&self, node: NodeId);
 
     /// Sends one message. Delivery is best-effort: a returned `Ok` means
@@ -168,24 +192,19 @@ pub trait Transport: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use crate::sim::SimNet;
+
+    fn send(net: &SimNet, msg: &'static [u8]) {
+        net.send(Envelope::new(NodeId(2), NodeId(1), Bytes::from_static(msg)))
+            .unwrap();
+    }
 
     #[test]
     fn endpoint_receives_in_order_from_channel() {
-        let (tx, rx) = unbounded();
-        let ep = Endpoint::new(NodeId(1), rx);
-        tx.send(Envelope::new(
-            NodeId(2),
-            NodeId(1),
-            Bytes::from_static(b"a"),
-        ))
-        .unwrap();
-        tx.send(Envelope::new(
-            NodeId(2),
-            NodeId(1),
-            Bytes::from_static(b"b"),
-        ))
-        .unwrap();
+        let net = SimNet::perfect();
+        let ep = Endpoint::register(&net, NodeId(1)).unwrap();
+        send(&net, b"a");
+        send(&net, b"b");
         assert_eq!(ep.recv().unwrap().payload, Bytes::from_static(b"a"));
         assert_eq!(ep.recv().unwrap().payload, Bytes::from_static(b"b"));
         assert_eq!(ep.node(), NodeId(1));
@@ -193,14 +212,15 @@ mod tests {
 
     #[test]
     fn endpoint_timeout_and_close() {
-        let (tx, rx) = unbounded::<Envelope>();
-        let ep = Endpoint::new(NodeId(1), rx);
+        let net = SimNet::perfect();
+        let ep = Endpoint::register(&net, NodeId(1)).unwrap();
         assert_eq!(
             ep.recv_timeout(Duration::from_millis(5)).unwrap_err(),
             NetError::Timeout
         );
         assert_eq!(ep.try_recv().unwrap_err(), NetError::Timeout);
-        drop(tx);
+        // Deregistering drops the sink, and with it the queue's only sender.
+        net.deregister(NodeId(1));
         assert_eq!(ep.recv().unwrap_err(), NetError::Closed);
         assert_eq!(ep.try_recv().unwrap_err(), NetError::Closed);
     }

@@ -4,21 +4,22 @@
 //! protocols by which an interface can be accessed").
 
 use bytes::Bytes;
-use odp_net::{CallQos, Envelope, NetError, RexEndpoint, SimNet, TcpNetwork, Transport};
+use odp_net::{
+    CallQos, Endpoint, Envelope, LinkConfig, NetError, RexEndpoint, SimNet, SimNetConfig,
+    TcpNetwork, Transport,
+};
 use odp_types::{InterfaceId, NodeId};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn contract(transport: Arc<dyn Transport>, label: &str) {
     // Registration uniqueness.
-    let a = transport
-        .register(NodeId(1))
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let a = Endpoint::register(&*transport, NodeId(1)).unwrap_or_else(|e| panic!("{label}: {e}"));
     assert!(matches!(
-        transport.register(NodeId(1)),
+        Endpoint::register(&*transport, NodeId(1)),
         Err(NetError::AlreadyRegistered(_))
     ));
-    let b = transport.register(NodeId(2)).unwrap();
+    let b = Endpoint::register(&*transport, NodeId(2)).unwrap();
     assert!(transport.is_registered(NodeId(1)));
 
     // Point-to-point delivery with sender identity.
@@ -65,7 +66,7 @@ fn contract(transport: Arc<dyn Transport>, label: &str) {
     assert!(transport
         .send(Envelope::new(NodeId(1), NodeId(2), Bytes::new()))
         .is_err());
-    let b2 = transport.register(NodeId(2)).unwrap();
+    let b2 = Endpoint::register(&*transport, NodeId(2)).unwrap();
     transport
         .send(Envelope::new(
             NodeId(1),
@@ -89,6 +90,62 @@ fn simnet_satisfies_the_contract() {
 #[test]
 fn tcp_satisfies_the_contract() {
     contract(Arc::new(TcpNetwork::new()), "tcp");
+}
+
+/// A sink may call back into the transport from inside delivery. It runs
+/// on the sender's thread (SimNet, zero delay), on the pump (SimNet,
+/// delayed) or on a reader thread (TCP); none of them may hold a lock
+/// that `send` or `is_registered` needs.
+fn sink_may_reenter(transport: Arc<dyn Transport>, label: &'static str) {
+    let client = Endpoint::register(&*transport, NodeId(1)).unwrap();
+    let weak = Arc::downgrade(&transport);
+    transport
+        .register(
+            NodeId(2),
+            Arc::new(move |env: Envelope| {
+                let Some(t) = weak.upgrade() else { return };
+                if t.is_registered(env.from) {
+                    t.send(Envelope::new(env.to, env.from, env.payload))
+                        .expect("bounce");
+                }
+            }),
+        )
+        .unwrap();
+    let (done_tx, done_rx) = crossbeam::channel::bounded(1);
+    std::thread::spawn(move || {
+        for i in 0..50u8 {
+            transport
+                .send(Envelope::new(
+                    NodeId(1),
+                    NodeId(2),
+                    Bytes::copy_from_slice(&[i]),
+                ))
+                .unwrap();
+            let got = client
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!((got.from, got.payload[0]), (NodeId(2), i), "{label}");
+        }
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .unwrap_or_else(|_| panic!("{label}: re-entrant sink deadlocked or failed"));
+}
+
+#[test]
+fn simnet_sink_may_reenter_the_transport() {
+    sink_may_reenter(Arc::new(SimNet::perfect()), "simnet/zero-delay");
+    let delayed = SimNet::new(SimNetConfig {
+        default_link: LinkConfig::with_latency(Duration::from_micros(200)),
+        ..SimNetConfig::default()
+    });
+    sink_may_reenter(Arc::new(delayed), "simnet/pump");
+}
+
+#[test]
+fn tcp_sink_may_reenter_the_transport() {
+    sink_may_reenter(Arc::new(TcpNetwork::new()), "tcp");
 }
 
 /// REX behaves identically over both transports: the engineering layers

@@ -3,19 +3,19 @@
 //! §5.4 allows an interface several protocol access paths; stream data
 //! takes its own: a `StreamEndpoint` registers a *distinct* transport
 //! identity derived from the node's id, so media datagrams never contend
-//! with (or confuse) the REX demultiplexer. Frames carry
-//! `(stream, flow, sequence, timestamp)` headers; sinks registered per
-//! `(stream, flow)` receive them on the endpoint's demux thread.
+//! with (or confuse) REX. Frames carry `(stream, flow, sequence,
+//! timestamp)` headers. The endpoint's dispatch is the transport's sink
+//! for that identity: each frame goes to the sink registered for its
+//! `(stream, flow)` on the thread that delivered it.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::Sender;
-use odp_net::{Endpoint, Envelope, NetError, Transport};
+use odp_net::{Envelope, NetError, Transport};
 use odp_types::{NodeId, StreamId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Offset separating stream transport identities from capsule identities.
 pub const STREAM_NODE_OFFSET: u64 = 1 << 40;
@@ -71,16 +71,18 @@ impl Frame {
     }
 }
 
-/// A frame sink: called on the endpoint demux thread.
+/// A frame sink. It runs on the transport's delivering thread (a
+/// producer's pacer on a zero-delay link), so it must not block.
 pub type Sink = Arc<dyn Fn(Frame) + Send + Sync>;
 
-/// A node's stream endpoint: sender + demultiplexer.
+type SinkMap = Mutex<HashMap<(StreamId, u32), Sink>>;
+
+/// A node's stream endpoint: sender + frame dispatch.
 pub struct StreamEndpoint {
     node: NodeId,
     transport: Arc<dyn Transport>,
-    sinks: Arc<Mutex<HashMap<(StreamId, u32), Sink>>>,
-    running: Arc<AtomicBool>,
-    demux: Mutex<Option<std::thread::JoinHandle<()>>>,
+    sinks: Arc<SinkMap>,
+    running: AtomicBool,
     /// Frames sent from this endpoint.
     pub sent: AtomicU64,
     /// Frames delivered to sinks.
@@ -94,26 +96,21 @@ impl StreamEndpoint {
     ///
     /// Any [`NetError`] from registration.
     pub fn new(transport: Arc<dyn Transport>, node: NodeId) -> Result<Arc<Self>, NetError> {
-        let endpoint = transport.register(stream_node(node))?;
-        let sinks: Arc<Mutex<HashMap<(StreamId, u32), Sink>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let running = Arc::new(AtomicBool::new(true));
+        let sinks: Arc<SinkMap> = Arc::new(Mutex::new(HashMap::new()));
         let delivered = Arc::new(AtomicU64::new(0));
-        let ep = Arc::new(Self {
+        let (dispatch_sinks, dispatch_delivered) = (Arc::clone(&sinks), Arc::clone(&delivered));
+        transport.register(
+            stream_node(node),
+            Arc::new(move |env: Envelope| dispatch(&dispatch_sinks, &dispatch_delivered, env)),
+        )?;
+        Ok(Arc::new(Self {
             node,
             transport,
-            sinks: Arc::clone(&sinks),
-            running: Arc::clone(&running),
-            demux: Mutex::new(None),
+            sinks,
+            running: AtomicBool::new(true),
             sent: AtomicU64::new(0),
-            delivered: Arc::clone(&delivered),
-        });
-        let handle = std::thread::Builder::new()
-            .name(format!("stream-demux-{node}"))
-            .spawn(move || demux_loop(&endpoint, &sinks, &running, &delivered))
-            .expect("spawn stream demux");
-        *ep.demux.lock() = Some(handle);
-        Ok(ep)
+            delivered,
+        }))
     }
 
     /// The capsule node this endpoint belongs to.
@@ -147,43 +144,26 @@ impl StreamEndpoint {
         ))
     }
 
-    /// Shuts the endpoint down.
+    /// Shuts the endpoint down. Idempotent.
     pub fn shutdown(&self) {
         if self.running.swap(false, Ordering::SeqCst) {
             self.transport.deregister(stream_node(self.node));
-            if let Some(h) = self.demux.lock().take() {
-                let _ = h.join();
-            }
         }
     }
 }
 
 impl Drop for StreamEndpoint {
     fn drop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        self.transport.deregister(stream_node(self.node));
+        self.shutdown();
     }
 }
 
-fn demux_loop(
-    endpoint: &Endpoint,
-    sinks: &Mutex<HashMap<(StreamId, u32), Sink>>,
-    running: &AtomicBool,
-    delivered: &AtomicU64,
-) {
-    while running.load(Ordering::SeqCst) {
-        match endpoint.recv_timeout(Duration::from_millis(100)) {
-            Ok(env) => {
-                if let Some(frame) = Frame::decode(env.payload) {
-                    let sink = sinks.lock().get(&(frame.stream, frame.flow)).cloned();
-                    if let Some(sink) = sink {
-                        delivered.fetch_add(1, Ordering::Relaxed);
-                        sink(frame);
-                    }
-                }
-            }
-            Err(NetError::Timeout) => {}
-            Err(_) => return,
+fn dispatch(sinks: &SinkMap, delivered: &AtomicU64, env: Envelope) {
+    if let Some(frame) = Frame::decode(env.payload) {
+        let sink = sinks.lock().get(&(frame.stream, frame.flow)).cloned();
+        if let Some(sink) = sink {
+            delivered.fetch_add(1, Ordering::Relaxed);
+            sink(frame);
         }
     }
 }
@@ -209,6 +189,7 @@ pub fn channel_sink(tx: Sender<Frame>) -> Sink {
 mod tests {
     use super::*;
     use odp_net::SimNet;
+    use std::time::Duration;
 
     #[test]
     fn frame_codec_round_trips() {

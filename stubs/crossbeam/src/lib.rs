@@ -3,12 +3,16 @@
 //! receivers, blocking/timeout/non-blocking receives, and disconnect
 //! semantics matching the real crate (send fails once all receivers are
 //! gone; recv drains remaining messages then reports disconnect).
+//!
+//! A thread that blocks counts itself as parked under the queue lock, and
+//! the other side signals only when someone is parked: a send nobody waits
+//! for, or a receive nobody waits behind, makes no wake-up system call.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     /// Error returned by [`Sender::send`] when all receivers are gone;
@@ -75,8 +79,16 @@ pub mod channel {
 
     impl std::error::Error for TryRecvError {}
 
+    struct State<T> {
+        queue: VecDeque<T>,
+        /// Receivers blocked waiting for a message.
+        parked_receivers: usize,
+        /// Senders blocked waiting for capacity (bounded channels only).
+        parked_senders: usize,
+    }
+
     struct Shared<T> {
-        queue: Mutex<VecDeque<T>>,
+        state: Mutex<State<T>>,
         /// `None` = unbounded.
         capacity: Option<usize>,
         senders: AtomicUsize,
@@ -85,10 +97,60 @@ pub mod channel {
         readable: Condvar,
         /// Signalled when capacity frees up or the last receiver leaves.
         writable: Condvar,
+        /// Untimed blocking waits that ran out their safety-net timeout: a
+        /// lost wake-up costs one of these instead of a hang.
+        stalls: AtomicUsize,
     }
 
-    fn lock<'a, T>(m: &'a Mutex<VecDeque<T>>) -> std::sync::MutexGuard<'a, VecDeque<T>> {
-        m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// How long `recv` and a blocked `send` sleep before re-checking.
+    const SAFETY_NET: Duration = Duration::from_millis(50);
+
+    impl<T> Shared<T> {
+        fn lock(&self) -> MutexGuard<'_, State<T>> {
+            self.state
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+        }
+
+        /// Parks on `cond` for up to `timeout` (`None`: an untimed wait,
+        /// which sleeps at most [`SAFETY_NET`]), counted in the field that
+        /// `parked` selects so the other side knows to signal.
+        fn park<'a>(
+            &self,
+            cond: &Condvar,
+            mut state: MutexGuard<'a, State<T>>,
+            timeout: Option<Duration>,
+            parked: fn(&mut State<T>) -> &mut usize,
+        ) -> MutexGuard<'a, State<T>> {
+            *parked(&mut state) += 1;
+            let (mut state, waited) = cond
+                .wait_timeout(state, timeout.unwrap_or(SAFETY_NET))
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            *parked(&mut state) -= 1;
+            if waited.timed_out() && timeout.is_none() {
+                self.stalls.fetch_add(1, Ordering::Relaxed);
+            }
+            state
+        }
+
+        /// Takes the next message, waking one sender blocked on capacity.
+        fn pop(&self, mut state: MutexGuard<'_, State<T>>) -> Option<T> {
+            let value = state.queue.pop_front()?;
+            let wake = state.parked_senders > 0;
+            drop(state);
+            if wake {
+                self.writable.notify_one();
+            }
+            Some(value)
+        }
+
+        /// Wakes everyone parked on `cond` after the last peer left. The
+        /// lock orders this after any waiter that checked the peer count
+        /// but has not parked yet.
+        fn disconnect(&self, cond: &Condvar) {
+            drop(self.lock());
+            cond.notify_all();
+        }
     }
 
     /// The sending half; clonable.
@@ -116,12 +178,17 @@ pub mod channel {
 
     fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                parked_receivers: 0,
+                parked_senders: 0,
+            }),
             capacity,
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
             readable: Condvar::new(),
             writable: Condvar::new(),
+            stalls: AtomicUsize::new(0),
         });
         (
             Sender {
@@ -136,32 +203,33 @@ pub mod channel {
         /// Fails (returning the message) once all receivers are gone.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let shared = &*self.shared;
-            let mut queue = lock(&shared.queue);
+            let mut state = shared.lock();
             loop {
                 if shared.receivers.load(Ordering::Acquire) == 0 {
                     return Err(SendError(value));
                 }
                 match shared.capacity {
-                    Some(cap) if queue.len() >= cap => {
-                        queue = shared
-                            .writable
-                            .wait_timeout(queue, Duration::from_millis(50))
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .0;
+                    Some(cap) if state.queue.len() >= cap => {
+                        state = shared.park(&shared.writable, state, None, |s| {
+                            &mut s.parked_senders
+                        });
                     }
                     _ => break,
                 }
             }
-            queue.push_back(value);
-            drop(queue);
-            shared.readable.notify_one();
+            state.queue.push_back(value);
+            let wake = state.parked_receivers > 0;
+            drop(state);
+            if wake {
+                shared.readable.notify_one();
+            }
             Ok(())
         }
 
         /// Number of messages currently queued.
         #[must_use]
         pub fn len(&self) -> usize {
-            lock(&self.shared.queue).len()
+            self.shared.lock().queue.len()
         }
 
         /// Whether the queue is currently empty.
@@ -184,7 +252,7 @@ pub mod channel {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender: wake receivers so they observe disconnect.
-                self.shared.readable.notify_all();
+                self.shared.disconnect(&self.shared.readable);
             }
         }
     }
@@ -200,21 +268,17 @@ pub mod channel {
         /// is gone (and the queue is drained).
         pub fn recv(&self) -> Result<T, RecvError> {
             let shared = &*self.shared;
-            let mut queue = lock(&shared.queue);
+            let mut state = shared.lock();
             loop {
-                if let Some(value) = queue.pop_front() {
-                    drop(queue);
-                    shared.writable.notify_one();
-                    return Ok(value);
+                if !state.queue.is_empty() {
+                    return shared.pop(state).ok_or(RecvError);
                 }
                 if shared.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvError);
                 }
-                queue = shared
-                    .readable
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .0;
+                state = shared.park(&shared.readable, state, None, |s| {
+                    &mut s.parked_receivers
+                });
             }
         }
 
@@ -222,12 +286,10 @@ pub mod channel {
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
             let deadline = Instant::now() + timeout;
             let shared = &*self.shared;
-            let mut queue = lock(&shared.queue);
+            let mut state = shared.lock();
             loop {
-                if let Some(value) = queue.pop_front() {
-                    drop(queue);
-                    shared.writable.notify_one();
-                    return Ok(value);
+                if !state.queue.is_empty() {
+                    return shared.pop(state).ok_or(RecvTimeoutError::Timeout);
                 }
                 if shared.senders.load(Ordering::Acquire) == 0 {
                     return Err(RecvTimeoutError::Disconnected);
@@ -236,22 +298,18 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                queue = shared
-                    .readable
-                    .wait_timeout(queue, deadline - now)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .0;
+                state = shared.park(&shared.readable, state, Some(deadline - now), |s| {
+                    &mut s.parked_receivers
+                });
             }
         }
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let shared = &*self.shared;
-            let mut queue = lock(&shared.queue);
-            if let Some(value) = queue.pop_front() {
-                drop(queue);
-                shared.writable.notify_one();
-                return Ok(value);
+            let state = shared.lock();
+            if !state.queue.is_empty() {
+                return shared.pop(state).ok_or(TryRecvError::Empty);
             }
             if shared.senders.load(Ordering::Acquire) == 0 {
                 Err(TryRecvError::Disconnected)
@@ -263,7 +321,7 @@ pub mod channel {
         /// Number of messages currently queued.
         #[must_use]
         pub fn len(&self) -> usize {
-            lock(&self.shared.queue).len()
+            self.shared.lock().queue.len()
         }
 
         /// Whether the queue is currently empty.
@@ -286,7 +344,7 @@ pub mod channel {
         fn drop(&mut self) {
             if self.shared.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last receiver: wake senders so they observe disconnect.
-                self.shared.writable.notify_all();
+                self.shared.disconnect(&self.shared.writable);
             }
         }
     }
@@ -367,6 +425,61 @@ pub mod channel {
                 .collect();
             all.sort_unstable();
             assert_eq!(all, (0..100).collect::<Vec<_>>());
+        }
+
+        /// Echoes `rounds` messages back over a second channel of the same
+        /// kind; returns the stalls counted on both channels.
+        fn ping_pong(make: fn() -> (Sender<u32>, Receiver<u32>), rounds: u32) -> usize {
+            let (ping_tx, ping_rx) = make();
+            let (pong_tx, pong_rx) = make();
+            let echo = thread::spawn(move || {
+                while let Ok(v) = ping_rx.recv() {
+                    pong_tx.send(v).expect("pong");
+                }
+                ping_rx.shared.stalls.load(Ordering::Relaxed)
+            });
+            for i in 0..rounds {
+                ping_tx.send(i).expect("ping");
+                assert_eq!(pong_rx.recv(), Ok(i));
+                if pong_rx.shared.stalls.load(Ordering::Relaxed) > 2 {
+                    break; // already failed; do not wait out the rest
+                }
+            }
+            let stalls = ping_tx.shared.stalls.load(Ordering::Relaxed)
+                + pong_rx.shared.stalls.load(Ordering::Relaxed);
+            drop(ping_tx);
+            echo.join().expect("echo thread");
+            stalls
+        }
+
+        #[test]
+        fn ping_pong_never_waits_out_the_safety_net() {
+            // A lost wake-up would park a side until the 50 ms safety net
+            // fires, on nearly every round trip; a couple are tolerated
+            // for a host that deschedules a thread that long.
+            let bounded_stalls = ping_pong(|| bounded(1), 10_000);
+            let unbounded_stalls = ping_pong(unbounded, 10_000);
+            assert!(
+                bounded_stalls <= 2 && unbounded_stalls <= 2,
+                "stalls: bounded {bounded_stalls}, unbounded {unbounded_stalls}"
+            );
+        }
+
+        #[test]
+        fn recv_wakes_a_sender_blocked_on_a_full_channel() {
+            let (tx, rx) = bounded(1);
+            tx.send(1).expect("first fits");
+            let sender = thread::spawn(move || {
+                tx.send(2).expect("second sends after drain");
+                tx.shared.stalls.load(Ordering::Relaxed)
+            });
+            while rx.shared.lock().parked_senders == 0 {
+                thread::yield_now();
+            }
+            assert_eq!(rx.recv(), Ok(1));
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(2));
+            // Woken by the receive, not by its own safety-net timeout.
+            assert_eq!(sender.join().expect("sender thread"), 0);
         }
     }
 }
