@@ -276,21 +276,22 @@ impl AccessLayer {
         if local && !self.force_remote {
             capsule.count_local_fast_path();
             if req.announcement {
-                // A new activity is spawned, as §5.1 requires.
-                let spawn_capsule = Arc::clone(&capsule);
-                let spawn_req = req.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("odp-announce".into())
-                    .spawn(move || {
+                // A new activity, as §5.1 requires: the announcement runs on
+                // the capsule's REX workers, where remote ones run too. The
+                // job holds the capsule weakly, so a queued announcement
+                // never keeps a dropped capsule alive.
+                let weak = Arc::downgrade(&capsule);
+                let queued = capsule.rex().try_execute(Box::new(move || {
+                    if let Some(capsule) = weak.upgrade() {
                         // odp-lint: allow(l6, reason = "announcements are fire-and-forget by contract; the outcome has no addressee")
-                        let _ = spawn_capsule.dispatch_entry_owned(spawn_req, true);
-                    });
-                if spawned.is_err() {
-                    // Thread exhaustion: run synchronously rather than
-                    // panic or drop the announcement. The caller loses only
-                    // the asynchrony, never the invocation.
-                    // odp-lint: allow(l6, reason = "announcements are fire-and-forget by contract; the outcome has no addressee")
-                    let _ = capsule.dispatch_entry_owned(req, true);
+                        let _ = capsule.dispatch_entry_owned(req, true);
+                    }
+                }));
+                if let Err(job) = queued {
+                    // Queue full or endpoint shut down: run it here. The
+                    // caller loses only the asynchrony, never the
+                    // announcement.
+                    job();
                 }
                 return Ok(Outcome::ok(vec![]));
             }

@@ -41,7 +41,7 @@ pub mod sim;
 pub mod tcp;
 pub mod transport;
 
-pub use rex::{CallQos, RexEndpoint, RexError, RexRequest};
+pub use rex::{CallQos, RexEndpoint, RexError, RexRequest, JOB_QUEUE_CAP};
 pub use scrape::ScrapeServer;
 pub use sim::{LinkConfig, NetFault, SimNet, SimNetConfig, SimNetStats};
 pub use tcp::TcpNetwork;

@@ -17,6 +17,12 @@
 //!   above (transactions especially) depends on.
 //! * **Announcements** are a single datagram: "in the case of announcement
 //!   \[failure reporting\] is not possible" (§5.1).
+//! * **One bounded job queue** of [`JOB_QUEUE_CAP`] feeds the `rex-worker`
+//!   threads: requests from the frame sink, and the node's own jobs (its
+//!   co-located announcements) from [`RexEndpoint::try_execute`]. Neither
+//!   feed blocks: on a full queue the sink drops the request (a
+//!   retransmission recovers an interrogation) and `try_execute` hands the
+//!   job back.
 //!
 //! The reply body is opaque: application-level terminations (including
 //! failure terminations) are encoded by `odp-core` *inside* the body, so a
@@ -25,7 +31,7 @@
 
 use crate::transport::{Envelope, NetError, Transport};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use odp_telemetry::TraceContext;
 use odp_types::{InterfaceId, NodeId};
 use odp_wire::overload::{get_overload, put_overload, OVERLOAD_WIRE_LEN};
@@ -252,6 +258,14 @@ fn parse(mut payload: Bytes) -> Result<Parsed, RexError> {
     }
 }
 
+/// Capacity of an endpoint's job queue: requests waiting for a worker plus
+/// local jobs queued by [`RexEndpoint::try_execute`].
+pub const JOB_QUEUE_CAP: usize = 1024;
+
+/// Work an endpoint's own node queues on its workers (a co-located
+/// announcement), as opposed to a request that arrived as a frame.
+pub type LocalJob = Box<dyn FnOnce() + Send>;
+
 /// Bound on cached replies per endpoint; beyond it the oldest entries are
 /// evicted (a retransmission arriving later than this is answered by
 /// re-execution being suppressed at the transaction layer).
@@ -278,7 +292,7 @@ pub struct RexEndpoint {
     handler: Mutex<Option<Handler>>,
     server: Mutex<ServerState>,
     running: AtomicBool,
-    job_tx: Sender<RexJob>,
+    job_tx: Sender<Job>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Calls issued (for experiment accounting).
     pub calls_sent: AtomicU64,
@@ -292,6 +306,17 @@ pub struct RexEndpoint {
     /// Incoming frames dropped because they did not parse as REX messages
     /// (hostile or corrupt peer; each drop is also a telemetry event).
     pub malformed_dropped: AtomicU64,
+    /// Incoming requests dropped because the job queue was full (each drop
+    /// is also a `rex.queue_full` telemetry event).
+    pub queue_full_dropped: AtomicU64,
+}
+
+/// One entry of the workers' queue.
+enum Job {
+    /// A request that arrived as a frame.
+    Remote(RexJob),
+    /// Work queued by this endpoint's own node.
+    Local(LocalJob),
 }
 
 struct RexJob {
@@ -313,7 +338,7 @@ impl RexEndpoint {
     /// Registers `node` on `transport` and starts `workers` handler
     /// threads. Frames are parsed on the transport's delivering thread:
     /// replies go straight to their waiting caller, requests onto the
-    /// workers' job queue.
+    /// workers' bounded job queue.
     ///
     /// # Errors
     ///
@@ -323,7 +348,7 @@ impl RexEndpoint {
         node: NodeId,
         workers: usize,
     ) -> Result<Arc<Self>, NetError> {
-        let (job_tx, job_rx) = unbounded::<RexJob>();
+        let (job_tx, job_rx) = bounded::<Job>(JOB_QUEUE_CAP);
         let ep = Arc::new(Self {
             node,
             transport,
@@ -352,6 +377,7 @@ impl RexEndpoint {
             duplicates_suppressed: AtomicU64::new(0),
             deadlines_expired: AtomicU64::new(0),
             malformed_dropped: AtomicU64::new(0),
+            queue_full_dropped: AtomicU64::new(0),
         });
         let sink_ep = Arc::downgrade(&ep);
         let registered = ep.transport.register(
@@ -559,6 +585,27 @@ impl RexEndpoint {
         }
     }
 
+    /// Queues `job` to run on one of this endpoint's workers, without
+    /// blocking.
+    ///
+    /// # Errors
+    ///
+    /// Hands `job` back when the queue is full or the endpoint is shut
+    /// down, so the caller can run it itself.
+    pub fn try_execute(&self, job: LocalJob) -> Result<(), LocalJob> {
+        if !self.running.load(Ordering::SeqCst) {
+            return Err(job);
+        }
+        match self.job_tx.try_send(Job::Local(job)) {
+            Ok(()) => Ok(()),
+            Err(refused) => match refused.into_inner() {
+                Job::Local(job) => Err(job),
+                // Only a local job was offered, so only one comes back.
+                Job::Remote(_) => Ok(()),
+            },
+        }
+    }
+
     /// Shuts the endpoint down: deregisters from the transport and joins
     /// all protocol threads. Idempotent.
     pub fn shutdown(&self) {
@@ -607,8 +654,7 @@ impl RexEndpoint {
             }) => {
                 let deadline = (budget_micros > 0)
                     .then(|| Instant::now() + Duration::from_micros(budget_micros));
-                // odp-lint: allow(l6, reason = "send fails only after shutdown closed the worker pool; the peer retries by deadline")
-                let _ = self.job_tx.send(RexJob {
+                let queued = self.job_tx.try_send(Job::Remote(RexJob {
                     from,
                     call_id,
                     trace,
@@ -618,7 +664,21 @@ impl RexEndpoint {
                     op,
                     body,
                     announcement,
-                });
+                }));
+                if let Err(TrySendError::Full(_)) = queued {
+                    // The sink must not block the delivering thread: drop
+                    // the request. The caller's retransmission recovers an
+                    // interrogation; an announcement is lost (§5.1).
+                    self.queue_full_dropped.fetch_add(1, Ordering::Relaxed);
+                    odp_telemetry::hub().event(
+                        "rex.queue_full",
+                        self.node.raw(),
+                        0,
+                        format!("dropped request {call_id} from {from}"),
+                    );
+                }
+                // Disconnected: the workers are gone after shutdown, and
+                // the peer retries by deadline.
             }
             Err(_) => {
                 // Hostile or corrupt peer: drop, never crash (§4.2) —
@@ -635,10 +695,14 @@ impl RexEndpoint {
         }
     }
 
-    fn worker(self: &Arc<Self>, rx: &Receiver<RexJob>) {
+    fn worker(self: &Arc<Self>, rx: &Receiver<Job>) {
         loop {
             let job = match rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(job) => job,
+                Ok(Job::Remote(job)) => job,
+                Ok(Job::Local(run)) => {
+                    run();
+                    continue;
+                }
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
                     if self.running.load(Ordering::SeqCst) {
                         continue;
@@ -944,6 +1008,60 @@ mod tests {
             names.iter().all(|n| n.starts_with("rex-worker-")),
             "{names:?}"
         );
+    }
+
+    #[test]
+    fn full_job_queue_hands_local_jobs_back_and_drops_requests() {
+        let net = SimNet::perfect();
+        let t: Arc<dyn Transport> = Arc::new(net);
+        let a = RexEndpoint::new(Arc::clone(&t), NodeId(1), 1).unwrap();
+        let b = RexEndpoint::new(t, NodeId(2), 1).unwrap();
+        let seen = Arc::new(AtomicU64::new(0));
+        let s = Arc::clone(&seen);
+        b.set_handler(Arc::new(move |_req| {
+            s.fetch_add(1, Ordering::SeqCst);
+            PooledBuf::default()
+        }));
+        // Park the only worker, then fill its queue with local jobs.
+        let (started_tx, started_rx) = bounded::<()>(1);
+        let (release_tx, release_rx) = bounded::<()>(1);
+        assert!(b
+            .try_execute(Box::new(move || {
+                let _ = started_tx.send(());
+                let _ = release_rx.recv();
+            }))
+            .is_ok());
+        started_rx.recv().unwrap();
+        let ran = Arc::new(AtomicU64::new(0));
+        for _ in 0..JOB_QUEUE_CAP {
+            let ran = Arc::clone(&ran);
+            let job: LocalJob = Box::new(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+            assert!(b.try_execute(job).is_ok());
+        }
+        // Full: a local job comes back, and the sink drops a request
+        // (SimNet's zero-delay path delivers on this thread).
+        let refused = b.try_execute(Box::new(|| {})).err();
+        assert!(refused.is_some(), "a full queue hands the job back");
+        a.announce(NodeId(2), InterfaceId(1), "tick", b"").unwrap();
+        assert_eq!(b.queue_full_dropped.load(Ordering::Relaxed), 1);
+        release_tx.send(()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while ran.load(Ordering::SeqCst) < JOB_QUEUE_CAP as u64 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), JOB_QUEUE_CAP as u64);
+        // With room again, requests are served.
+        a.announce(NodeId(2), InterfaceId(1), "tick", b"").unwrap();
+        while seen.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(seen.load(Ordering::SeqCst), 1);
+        // A shut-down endpoint hands every job back.
+        b.shutdown();
+        assert!(b.try_execute(Box::new(|| {})).is_err());
+        a.shutdown();
     }
 
     #[test]

@@ -6,8 +6,14 @@
 //!
 //! 1. appends every *mutating* operation to the write-ahead log before
 //!    dispatch;
-//! 2. after every `CheckpointPolicy::every_n_ops` mutations, snapshots the
+//! 2. on every `CheckpointPolicy::every_n_ops`-th mutation, snapshots the
 //!    servant into the stable repository and truncates the log.
+//!
+//! Mutating dispatches share a lock that a checkpoint takes exclusively, so
+//! a checkpoint never truncates a record that has been appended but not yet
+//! applied (its effect would be in neither the snapshot nor the log). The
+//! writer whose mutation count is a multiple of the interval takes the
+//! checkpoint, so exactly one writer takes each one.
 //!
 //! The checkpoint interval is the recovery-time/runtime-overhead dial that
 //! experiment E9 sweeps.
@@ -16,14 +22,14 @@ use crate::repository::StableRepository;
 use crate::wal::WriteAheadLog;
 use odp_core::{CallCtx, Outcome, Servant, ServerLayer, ServerNext};
 use odp_wire::Value;
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// When to checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
-    /// Snapshot after this many logged (mutating) operations.
+    /// Snapshot on every this-many-th logged (mutating) operation.
     pub every_n_ops: u64,
 }
 
@@ -40,9 +46,12 @@ pub struct LoggingLayer {
     repository: Arc<StableRepository>,
     policy: CheckpointPolicy,
     is_mutating: Arc<dyn Fn(&str) -> bool + Send + Sync>,
-    since_checkpoint: AtomicU64,
-    /// Serializes checkpoint decisions (log + snapshot must be coherent).
-    checkpoint_lock: Mutex<()>,
+    /// Mutations dispatched so far.
+    mutations: AtomicU64,
+    /// Held shared from a mutation's append through its apply, and
+    /// exclusively by a checkpoint's snapshot + truncate. Not reentrant: a
+    /// mutating operation must not dispatch into its own logged export.
+    apply: RwLock<()>,
     /// Checkpoints taken (experiment accounting).
     pub checkpoints: AtomicU64,
 }
@@ -64,20 +73,20 @@ impl LoggingLayer {
             repository,
             policy,
             is_mutating,
-            since_checkpoint: AtomicU64::new(0),
-            checkpoint_lock: Mutex::new(()),
+            mutations: AtomicU64::new(0),
+            apply: RwLock::new(()),
             checkpoints: AtomicU64::new(0),
         })
     }
 
-    /// Forces a checkpoint now (also used at graceful shutdown).
+    /// Forces a checkpoint now (also used at graceful shutdown). It waits
+    /// for mutations in flight to apply, and leaves the cadence unchanged.
     pub fn checkpoint(&self, iface: odp_types::InterfaceId) {
-        let _guard = self.checkpoint_lock.lock();
+        let _exclusive = self.apply.write();
         if let Some(snapshot) = self.servant.snapshot() {
             let upto = self.wal.last_lsn();
             self.repository.store(iface, snapshot, 0);
             self.wal.truncate(upto);
-            self.since_checkpoint.store(0, Ordering::SeqCst);
             self.checkpoints.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -94,11 +103,14 @@ impl ServerLayer for LoggingLayer {
         if !(self.is_mutating)(op) {
             return next.dispatch(ctx, op, args);
         }
-        // Write-ahead: log before dispatch.
-        self.wal.append(ctx.iface, op, &args);
-        let outcome = next.dispatch(ctx, op, args);
-        let n = self.since_checkpoint.fetch_add(1, Ordering::SeqCst) + 1;
-        if n >= self.policy.every_n_ops {
+        let outcome = {
+            let _shared = self.apply.read();
+            // Write-ahead: log before dispatch.
+            self.wal.append(ctx.iface, op, &args);
+            next.dispatch(ctx, op, args)
+        };
+        let n = self.mutations.fetch_add(1, Ordering::SeqCst) + 1;
+        if n.is_multiple_of(self.policy.every_n_ops.max(1)) {
             self.checkpoint(ctx.iface);
         }
         outcome

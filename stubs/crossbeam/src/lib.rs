@@ -1,8 +1,9 @@
 //! Offline stand-in for `crossbeam`, providing the `channel` module subset
 //! odp-rs uses: MPMC bounded/unbounded channels with clonable senders *and*
-//! receivers, blocking/timeout/non-blocking receives, and disconnect
-//! semantics matching the real crate (send fails once all receivers are
-//! gone; recv drains remaining messages then reports disconnect).
+//! receivers, blocking/timeout/non-blocking receives, blocking and
+//! non-blocking sends, and disconnect semantics matching the real crate
+//! (send fails once all receivers are gone; recv drains remaining messages
+//! then reports disconnect).
 //!
 //! A thread that blocks counts itself as parked under the queue lock, and
 //! the other side signals only when someone is parked: a send nobody waits
@@ -23,6 +24,33 @@ pub mod channel {
     impl<T> fmt::Display for SendError<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             write!(f, "sending on a disconnected channel")
+        }
+    }
+
+    /// Error returned by [`Sender::try_send`]; carries the unsent message.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TrySendError<T> {
+        /// A bounded channel is at capacity.
+        Full(T),
+        /// All receivers are gone.
+        Disconnected(T),
+    }
+
+    impl<T> TrySendError<T> {
+        /// The message that could not be sent.
+        pub fn into_inner(self) -> T {
+            match self {
+                TrySendError::Full(v) | TrySendError::Disconnected(v) => v,
+            }
+        }
+    }
+
+    impl<T> fmt::Display for TrySendError<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                TrySendError::Full(_) => write!(f, "sending on a full channel"),
+                TrySendError::Disconnected(_) => write!(f, "sending on a disconnected channel"),
+            }
         }
     }
 
@@ -133,6 +161,16 @@ pub mod channel {
             state
         }
 
+        /// Queues a message, waking one receiver parked for it.
+        fn push(&self, mut state: MutexGuard<'_, State<T>>, value: T) {
+            state.queue.push_back(value);
+            let wake = state.parked_receivers > 0;
+            drop(state);
+            if wake {
+                self.readable.notify_one();
+            }
+        }
+
         /// Takes the next message, waking one sender blocked on capacity.
         fn pop(&self, mut state: MutexGuard<'_, State<T>>) -> Option<T> {
             let value = state.queue.pop_front()?;
@@ -217,12 +255,25 @@ pub mod channel {
                     _ => break,
                 }
             }
-            state.queue.push_back(value);
-            let wake = state.parked_receivers > 0;
-            drop(state);
-            if wake {
-                shared.readable.notify_one();
+            shared.push(state, value);
+            Ok(())
+        }
+
+        /// Sends without blocking: fails (returning the message) when a
+        /// bounded channel is full or all receivers are gone.
+        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+            let shared = &*self.shared;
+            let state = shared.lock();
+            if shared.receivers.load(Ordering::Acquire) == 0 {
+                return Err(TrySendError::Disconnected(value));
             }
+            if shared
+                .capacity
+                .is_some_and(|cap| state.queue.len() >= cap)
+            {
+                return Err(TrySendError::Full(value));
+            }
+            shared.push(state, value);
             Ok(())
         }
 
@@ -388,6 +439,23 @@ pub mod channel {
             assert_eq!(rx.recv(), Ok(1));
             assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(2));
             t.join().expect("sender thread");
+        }
+
+        #[test]
+        fn try_send_hands_the_message_back_instead_of_blocking() {
+            let (tx, rx) = bounded(1);
+            assert_eq!(tx.try_send(1), Ok(()));
+            assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
+            assert_eq!(rx.recv(), Ok(1));
+            drop(rx);
+            let gone = tx.try_send(3).expect_err("every receiver is gone");
+            assert_eq!(gone, TrySendError::Disconnected(3));
+            assert_eq!(gone.into_inner(), 3);
+            // Unbounded channels are never full.
+            let (tx, _rx) = unbounded();
+            for i in 0..1000 {
+                assert_eq!(tx.try_send(i), Ok(()));
+            }
         }
 
         #[test]
