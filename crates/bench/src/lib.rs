@@ -1,6 +1,6 @@
 //! # odp-bench — the experiment harness
 //!
-//! One Criterion bench target per experiment in DESIGN.md §2 (E1–E14).
+//! One Criterion bench target per experiment in DESIGN.md §2 (E1–E18).
 //! This library hosts shared workload helpers used by the bench targets;
 //! see `benches/` for the experiments themselves and EXPERIMENTS.md for
 //! recorded results against the paper's claims.

@@ -1,127 +1,130 @@
 #!/usr/bin/env bash
-# PR 9 bench harness: exercise every tracked Criterion bench and emit a
-# machine-readable before/after snapshot of the hot-path cases.
+# Micro-benchmark gate: paired, interleaved A/B runs of the tracked
+# Criterion benches, this working tree against a base revision.
 #
-# Two stages:
-#   1. Run the `perf_snapshot` bin (plain Instant harness, median ns/op,
-#      flat JSON — see its doc comment for why the bench trajectory does
-#      not parse Criterion output) and join it against the frozen
-#      pre-PR baseline into `{case: {before_ns, after_ns, change_pct}}`.
-#      This stage runs FIRST, on a quiet machine: the baseline was
-#      captured cold, and ~10 minutes of Criterion load beforehand was
-#      measured to shift this container's clock enough (+10–28% on
-#      individual cases) to trip the 10% gate on pure window drift.
-#   2. Run the tracked Criterion benches end to end (e01 access ladder,
-#      e02 marshalling, e03 invocation styles, e14 scale, e16 telemetry,
-#      e17 overload knee, e18 observatory overhead) so every measured
-#      workload is exercised under the real harness. Exercise-only:
-#      their output is not parsed.
+# The base revision (default HEAD) is checked out in a git worktree under
+# target/bench-ab/base, which builds into its own target dir. Both sides
+# then run the tracked bench targets for 10 pairs, alternating which side
+# goes first, so the drift of a shared machine (±20% run to run on a
+# 2-core box) lands on both sides alike. A baseline frozen in a file
+# cannot carry a 10% gate on such a box; a base measured alongside can.
 #
-# The baseline (`scripts/bench_baseline_pr9.json`) was captured with the
-# same perf_snapshot harness on the same container at the last commit
-# before the Observatory landed — as the per-case MIN of three runs
-# interleaved with runs of the post-PR binary, so machine drift (±20%
-# run-to-run on this shared container) lands on both sides equally; it
-# is checked in because that code no longer exists to re-measure. (The PR 5 zero-copy improvement now lives
-# *inside* this baseline, so the old "e02 must stay ≥25% faster" gate is
-# retired — the general regression gate below protects it instead.)
-# Cases new in this PR (the `e18/*` observatory rungs) have
-# `before_ns: null` and are tracked by the E18 gate instead.
+# Every case the targets print as `<label> time: [<value> <unit>]` is
+# gated on its medians over the runs:
+#   REGRESSED   the change's median is more than 10% above the base's,
+#               and the gap is wider than the base's interquartile range;
+#   unresolved  not regressed, but the base's own interquartile range is
+#               wider than 10% of its median: a 10% step is not visible;
+#   new, gone   only one side printed the case.
+# A regressed case fails the gate unless EXPERIMENTS.md has a line
+# `bench-waiver: <case>`. A target that exits non-zero (the e17 knee
+# asserts) or a `[no samples]` case fails it too. E18 budget: on the
+# change side, the median over runs of recorder_on / recorder_off must
+# not exceed 1.05.
 #
-# Gates, in order:
-#   * E18 observatory overhead: `e18/remote_sampled_recorder_on/0` must be
-#     within 5% of `e18/remote_sampled_recorder_off/0` — the flight
-#     recorder's cost on a fully sampled remote call stays under the
-#     EXPERIMENTS.md E18 claim.
-#   * General regression: ANY case with a baseline that is more than 10%
-#     slower fails, unless EXPERIMENTS.md carries a `bench-waiver: <case>`
-#     line naming it.
+# Results go to target/bench-ab/report.txt; raw samples (one line per
+# case, side and run) to target/bench-ab/samples.tsv.
 #
-# Usage: scripts/bench.sh [out.json]      (default: BENCH_PR9.json)
+# Usage: scripts/bench.sh [base-rev]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR9.json}"
-baseline="scripts/bench_baseline_pr9.json"
+base_rev="$(git rev-parse --verify "${1:-HEAD}^{commit}")"
+pairs=10
+bench_args=()
+for t in e01_access_ladder e02_marshalling e03_invocation_styles e14_scale \
+    e16_telemetry e17_overload e18_observatory; do
+    bench_args+=(--bench "$t")
+done
+out=target/bench-ab
+base_tree="$out/base"
+samples="$out/samples.tsv"
+report="$out/report.txt"
 
-echo "== perf_snapshot (release, best of 3) =="
-# One run swings ±20% on a shared container; the baseline was captured as
-# the per-case MIN of three runs, so the after side must be measured the
-# same way — min-vs-min is the noise-robust comparison for a 10% gate.
-cargo build --release -q -p odp-bench --bin perf_snapshot
-after1="$(mktemp /tmp/odp-bench-after.XXXXXX.json)"
-after2="$(mktemp /tmp/odp-bench-after.XXXXXX.json)"
-after3="$(mktemp /tmp/odp-bench-after.XXXXXX.json)"
-trap 'rm -f "$after1" "$after2" "$after3"' EXIT
-./target/release/perf_snapshot 2>/dev/null > "$after1"
-./target/release/perf_snapshot 2>/dev/null > "$after2"
-./target/release/perf_snapshot 2>/dev/null > "$after3"
+# The worktree is kept between runs so the base rebuilds incrementally.
+mkdir -p "$out"
+git worktree prune
+if [ -d "$base_tree" ]; then
+    git -C "$base_tree" checkout -q --detach "$base_rev"
+else
+    git worktree add -q --detach "$base_tree" "$base_rev"
+fi
 
-python3 - "$baseline" "$after1" "$after2" "$after3" "$out" <<'PY'
-import json, sys
+echo "== build: base $(git rev-parse --short "$base_rev") and working tree =="
+(cd "$base_tree" && cargo bench -q --no-run -p odp-bench "${bench_args[@]}")
+cargo bench -q --no-run -p odp-bench "${bench_args[@]}"
 
-baseline_path = sys.argv[1]
-after_paths = sys.argv[2:5]
-out_path = sys.argv[5]
-before = json.load(open(baseline_path))
-runs = [json.load(open(p)) for p in after_paths]
-after = {
-    case: min(r[case] for r in runs if case in r)
-    for case in set().union(*runs)
+# run_side <side> <run>: one pass of every tracked target, samples in ns.
+run_side() {
+    local dir=. log="$out/$1.$2.log"
+    [ "$1" = base ] && dir="$base_tree"
+    if ! (cd "$dir" && cargo bench -q -p odp-bench "${bench_args[@]}") > "$log" 2>&1; then
+        tail -n 20 "$log"
+        echo "bench: FAIL — a $1 target exited non-zero in run $2 (log: $log)"
+        exit 1
+    fi
+    awk -v side="$1" -v run="$2" '$2 == "time:" {
+        unit = $4; sub(/\]$/, "", unit)
+        scale = unit == "ns" ? 1 : unit == "µs" ? 1e3 : unit == "ms" ? 1e6 : unit == "s" ? 1e9 : 0
+        if (scale == 0) { print "bench: FAIL — " $1 " printed " $3 " " $4 > "/dev/stderr"; bad = 1; next }
+        printf "%s\t%s\t%s\t%.1f\n", $1, side, run, substr($3, 2) * scale
+    } END { exit bad }' "$log" >> "$samples"
 }
 
-merged = {}
-for case in sorted(set(before) | set(after)):
-    b, a = before.get(case), after.get(case)
-    entry = {"before_ns": b, "after_ns": a}
-    if b and a:
-        entry["change_pct"] = round(100.0 * (a - b) / b, 1)
-    merged[case] = entry
-
-json.dump(merged, open(out_path, "w"), indent=2)
-open(out_path, "a").write("\n")
-print(f"bench: wrote {out_path} ({len(merged)} cases)")
-
-# E18 gate: the always-on flight recorder must cost <5% on a fully
-# sampled remote call (the EXPERIMENTS.md E18 claim). Both rungs are
-# measured in this run, so the gate is self-contained — no baseline.
-rec_off = merged.get("e18/remote_sampled_recorder_off/0", {}).get("after_ns")
-rec_on = merged.get("e18/remote_sampled_recorder_on/0", {}).get("after_ns")
-if not rec_off or not rec_on:
-    sys.exit("bench: MISSING — e18 recorder rungs absent from perf_snapshot")
-overhead = 100.0 * (rec_on - rec_off) / rec_off
-print(f"bench: e18 recorder overhead {overhead:+.1f}% (limit +5%)")
-if overhead > 5.0:
-    sys.exit("bench: REGRESSION — flight recorder costs more than 5% on the "
-             "sampled remote path")
-
-# General regression gate: ANY tracked case more than 10% slower than its
-# baseline fails, unless EXPERIMENTS.md records a waiver naming the case
-# (a line containing `bench-waiver: <case>`). New cases (no baseline)
-# are exempt — they become tracked once a baseline lands.
-waivers = set()
-try:
-    for line in open("EXPERIMENTS.md"):
-        if "bench-waiver:" in line:
-            waivers.add(line.split("bench-waiver:", 1)[1].strip().rstrip("`").strip())
-except FileNotFoundError:
-    pass
-regressed = [
-    (case, entry["change_pct"])
-    for case, entry in merged.items()
-    if entry.get("change_pct", 0.0) > 10.0 and case not in waivers
-]
-for case, pct in regressed:
-    print(f"bench: REGRESSION — {case} {pct:+.1f}% vs baseline (limit +10%, "
-          f"waive with `bench-waiver: {case}` in EXPERIMENTS.md)")
-if regressed:
-    sys.exit(1)
-waived = [c for c in waivers if merged.get(c, {}).get("change_pct", 0.0) > 10.0]
-for case in waived:
-    print(f"bench: waived regression {case} ({merged[case]['change_pct']:+.1f}%)")
-PY
-
-for bench in e01_access_ladder e02_marshalling e03_invocation_styles e14_scale e16_telemetry e17_overload e18_observatory; do
-    echo "== cargo bench: $bench =="
-    cargo bench -q -p odp-bench --bench "$bench"
+: > "$samples"
+for ((i = 0; i < pairs; i++)); do
+    echo "== pair $((i + 1))/$pairs =="
+    if ((i % 2 == 0)); then run_side base "$i"; run_side change "$i"
+    else run_side change "$i"; run_side base "$i"; fi
 done
+
+sort -t$'\t' -k1,1 -k2,2 -k4,4g "$samples" | awk -F'\t' '
+    FILENAME == "EXPERIMENTS.md" {
+        if (split($0, w, "bench-waiver:") > 1) { c = w[2]; gsub(/[` ]/, "", c); waived[c] = 1 }
+        next
+    }
+    function quantile(p,   h, lo) {
+        h = (n - 1) * p; lo = int(h)
+        return lo + 1 < n ? s[lo] + (s[lo + 1] - s[lo]) * (h - lo) : s[lo]
+    }
+    function close_group() {
+        if (n == 0) return
+        med[key] = quantile(0.5); iqr[key] = quantile(0.75) - quantile(0.25)
+        cases[gcase] = 1; n = 0
+    }
+    {
+        if ($1 SUBSEP $2 != key) { close_group(); key = $1 SUBSEP $2; gcase = $1 }
+        s[n++] = $4
+        if ($2 == "change" && $1 ~ /^e18_observatory\/remote_sampled_recorder_o(n|ff)$/) e18[$3, $1 ~ /_on$/] = $4
+    }
+    END {
+        close_group()
+        printf "%-58s %12s %10s %12s %8s  %s\n", "case", "base_ns", "base_iqr", "change_ns", "delta", "verdict"
+        for (c in cases) {
+            b = med[c, "base"]; x = med[c, "change"]; q = iqr[c, "base"]
+            if (!((c, "base") in med)) verdict = "new"
+            else if (!((c, "change") in med)) verdict = "gone"
+            else {
+                gated++
+                if (x - b > 0.10 * b && x - b > q) {
+                    if (c in waived) { verdict = "waived"; waivers++ } else { verdict = "REGRESSED"; regressed++ }
+                } else if (q > 0.10 * b) { verdict = "unresolved"; unresolved++ }
+                else verdict = "ok"
+            }
+            delta = b > 0 && x > 0 ? sprintf("%+.1f%%", 100 * (x - b) / b) : "-"
+            printf "%-58s %12.1f %10.1f %12.1f %8s  %s\n", c, b, q, x, delta, verdict | "sort"
+        }
+        close("sort")
+        n = 0
+        for (r = 0; (r, 0) in e18 && (r, 1) in e18; r++) s[n++] = e18[r, 1] / e18[r, 0]
+        for (i = 1; i < n; i++) for (j = i; j > 0 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+        if (n == 0) { print "bench: FAIL — e18 recorder rungs missing"; exit 1 }
+        ratio = quantile(0.5)
+        printf "bench: %d cases gated: %d regressed, %d unresolved, %d waived; e18 recorder_on/off %.3f (limit 1.050)\n",
+            gated, regressed, unresolved, waivers, ratio
+        if (regressed > 0 || ratio > 1.05) { print "bench: FAIL"; exit 1 }
+        print "bench: pass"
+    }' EXPERIMENTS.md - > "$report" && status=0 || status=$?
+grep -E 'REGRESSED|waived|^bench:' "$report" || true
+echo "bench: report in $report (${SECONDS}s)"
+exit "$status"

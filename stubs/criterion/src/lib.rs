@@ -5,10 +5,10 @@
 //!
 //! Measurement model: per benchmark, a short warm-up loop, then
 //! `sample_size` timed samples of a batch whose size is auto-scaled so a
-//! sample takes ≥ ~50µs; the reported figure is the median ns/iteration.
-//! That is enough for the repo's own before/after comparisons (the
-//! `perf_snapshot` bin does the gating measurements); it does not attempt
-//! criterion's full bootstrap analysis.
+//! sample takes ≥ ~50µs; the reported figure is the median ns/iteration,
+//! printed as one `<label> time: [<value> <unit>]` line per benchmark.
+//! `scripts/bench.sh` parses that line for its paired A/B gate; this
+//! stand-in does not attempt criterion's full bootstrap analysis.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -261,9 +261,14 @@ fn run_one(config: &Criterion, label: &str, f: &mut dyn FnMut(&mut Bencher)) {
         result_ns: None,
     };
     f(&mut bencher);
-    match bencher.result_ns {
-        Some(ns) => println!("{label:<60} time: [{}]", format_ns(ns)),
-        None => println!("{label:<60} time: [no samples]"),
+    println!("{}", case_line(label, bencher.result_ns));
+}
+
+/// The one line printed per benchmark; `scripts/bench.sh` parses it.
+fn case_line(label: &str, median_ns: Option<f64>) -> String {
+    match median_ns {
+        Some(ns) => format!("{label:<60} time: [{}]", format_ns(ns)),
+        None => format!("{label:<60} time: [no samples]"),
     }
 }
 
@@ -324,6 +329,24 @@ mod tests {
             b.iter(|| n * 2)
         });
         group.finish();
+    }
+
+    #[test]
+    fn case_line_format_is_pinned() {
+        // Labels are padded to 60 columns; `bench.sh` splits on whitespace.
+        let prefix = format!("g/case/1{}", " ".repeat(52));
+        let cases = [
+            (Some(48.04), "[48.0 ns]"),
+            (Some(1_738.2), "[1.738 µs]"),
+            (Some(4_233_000.0), "[4.233 ms]"),
+            (Some(2_500_000_000.0), "[2.500 s]"),
+            (None, "[no samples]"),
+        ];
+        for (ns, value) in cases {
+            assert_eq!(case_line("g/case/1", ns), format!("{prefix} time: {value}"));
+        }
+        let long = "x".repeat(70);
+        assert_eq!(case_line(&long, Some(1.0)), format!("{long} time: [1.0 ns]"));
     }
 
     #[test]
