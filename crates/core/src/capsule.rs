@@ -78,7 +78,8 @@ enum ExportEntry {
     Active {
         servant: Arc<dyn Servant>,
         ty: InterfaceType,
-        config: ExportConfig,
+        /// Shared so a dispatch clones one pointer, not the layer chain.
+        config: Arc<ExportConfig>,
         serial: Arc<Mutex<()>>,
         epoch: u64,
     },
@@ -212,7 +213,7 @@ impl Capsule {
             ExportEntry::Active {
                 servant,
                 ty: ty.clone(),
-                config,
+                config: Arc::new(config),
                 serial: Arc::new(Mutex::new(())),
                 epoch,
             },
@@ -347,7 +348,7 @@ impl Capsule {
                 None => return Err(format!("{iface} is not exported here")),
             }
         };
-        let new_ref = target.export_at(iface, epoch + 1, servant, config);
+        let new_ref = target.export_at(iface, epoch + 1, servant, Arc::unwrap_or_clone(config));
         // The source also registers, in case the target has no relocator
         // configured.
         // odp-lint: allow(l6, reason = "duplicate registration of the same move; the target's own registration is authoritative")
@@ -583,7 +584,7 @@ impl Capsule {
                             }
                         }
                     }
-                    (Arc::clone(servant), config.clone(), Arc::clone(serial))
+                    (Arc::clone(servant), Arc::clone(config), Arc::clone(serial))
                 }
             }
         };

@@ -565,8 +565,10 @@ impl ClientBinding {
         args: Vec<Value>,
         annotations: BTreeMap<String, Value>,
     ) -> Result<Outcome, InvokeError> {
+        let target = self.target();
+        let iface = target.iface;
         let req = CallRequest {
-            target: self.target(),
+            target,
             op: op.to_owned(),
             args,
             annotations,
@@ -577,7 +579,6 @@ impl ClientBinding {
             deadline: Some(Instant::now() + self.default_qos.deadline),
             trace: TraceContext::NONE,
         };
-        let iface = self.target.read().iface;
         let outcome = self.invoke_traced(req)?;
         Self::interpret(iface, outcome)
     }

@@ -19,6 +19,7 @@
 //!   from interface references (shared, location-transparent).
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The type of a parameter or result position.
 ///
@@ -250,9 +251,13 @@ impl fmt::Debug for OperationSig {
 /// are the same type regardless of where or by whom they were declared. The
 /// paper requires this because named hierarchies "fail to meet the
 /// requirements for federation and evolution" (§5.1).
+///
+/// The operation table is immutable once built, so clones share it: copying
+/// an `InterfaceType` (and with it every `InterfaceRef` or call request that
+/// carries one) costs one reference-count bump, not a deep copy.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct InterfaceType {
-    operations: Vec<OperationSig>,
+    operations: Arc<[OperationSig]>,
 }
 
 impl InterfaceType {
@@ -275,7 +280,9 @@ impl InterfaceType {
                 w[0].name
             );
         }
-        Self { operations }
+        Self {
+            operations: operations.into(),
+        }
     }
 
     /// The empty interface: top of the conformance order (every interface
