@@ -40,7 +40,7 @@ fn telemetry_overhead(c: &mut Criterion) {
     ];
 
     for (mode, recording, sampling) in modes {
-        hub().clear();
+        hub().metrics().clear();
         hub().set_sampling(sampling);
         hub().set_recording(recording);
         group.bench_function(format!("colocated_{mode}"), |b| {
@@ -65,7 +65,7 @@ fn telemetry_overhead(c: &mut Criterion) {
     }
     hub().set_recording(false);
     hub().set_sampling(Sampling::Off);
-    hub().clear();
+    hub().metrics().clear();
     group.finish();
 }
 

@@ -1,16 +1,17 @@
 //! E18 — the Observatory's overhead budget.
 //!
-//! PR 9 makes two additions to paths that E16 already meters: every
-//! histogram landing also stores a per-bucket exemplar (two relaxed
-//! stores), and every produced span/event is additionally pushed into the
-//! always-on flight recorder (one clone + bounded-ring push, but only on
-//! *sampled* calls — the recording-off hot path is untouched, preserving
-//! the E16 contract of a single relaxed load).
+//! The Observatory adds two things to paths that E16 already meters:
+//! every histogram landing also stores a per-bucket exemplar (two relaxed
+//! stores), and every produced span/event is moved into the always-on
+//! flight recorder, the hub's one trace store (one bounded-ring push, but
+//! only on *sampled* calls — the recording-off hot path is untouched,
+//! preserving the E16 contract of a single relaxed load).
 //!
 //! The claim to hold (EXPERIMENTS.md E18): on the forced-remote round
 //! trip with every call sampled — the worst case, since unsampled calls
 //! never reach either addition — enabling the recorder + exemplars costs
-//! **< 5%** over the same path with the recorder disabled.
+//! **< 5%** over the same path with the recorder disabled, which stores
+//! no spans or events at all.
 //!
 //! Rungs:
 //!   1. `remote_sampled_recorder_off` — full span pipeline, recorder off
@@ -24,6 +25,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use odp::prelude::*;
+use odp::telemetry::recorder::RECORDER_CAP;
 use odp::telemetry::{hub, render_json, render_prometheus, ExpositionData, Sampling};
 use odp_bench::counter;
 use std::hint::black_box;
@@ -39,10 +41,7 @@ const PAIRS: usize = 16;
 /// the ring so every on-batch pays the steady-state eviction. Measured
 /// one after the other instead, the two rungs sit in different seconds
 /// of a drifting machine and their gap can swing by more than the 5%
-/// budget it is meant to resolve. The ring is cleared first because
-/// that also thaws it: a ring frozen by an earlier incident accepts
-/// nothing, and the on rung would then measure no recorder at all.
-/// Returns per-call times (off, on).
+/// budget it is meant to resolve. Returns per-call times (off, on).
 fn paired_recorder_batches(forced: &ClientBinding) -> (Vec<Duration>, Vec<Duration>) {
     let batch = |on: bool| {
         hub().recorder().set_enabled(on);
@@ -52,12 +51,11 @@ fn paired_recorder_batches(forced: &ClientBinding) -> (Vec<Duration>, Vec<Durati
         }
         t.elapsed() / BATCH
     };
-    hub().clear();
-    hub().recorder().clear();
+    hub().metrics().clear();
     hub().set_recording(true);
     hub().set_sampling(Sampling::All);
     let warm_up = Instant::now() + Duration::from_millis(300);
-    while Instant::now() < warm_up {
+    while Instant::now() < warm_up || hub().recorder().stats().entries < RECORDER_CAP as u64 {
         batch(true);
     }
     let (mut off, mut on) = (Vec::new(), Vec::new());
@@ -95,8 +93,7 @@ fn observatory_overhead(c: &mut Criterion) {
         });
     }
 
-    hub().clear();
-    hub().recorder().clear();
+    hub().metrics().clear();
     hub().recorder().set_enabled(true);
     hub().set_sampling(Sampling::Off);
     group.bench_function("remote_counters_recorder_on", |b| {
@@ -122,8 +119,7 @@ fn observatory_overhead(c: &mut Criterion) {
     hub().set_recording(false);
     hub().set_sampling(Sampling::Off);
     hub().recorder().set_enabled(true);
-    hub().recorder().clear();
-    hub().clear();
+    hub().metrics().clear();
     group.finish();
 }
 

@@ -269,16 +269,11 @@ fn render(addr: &str, snap: &Snapshot, prev: Option<&(Snapshot, Instant)>, plain
         ),
     ));
     out.push_str(&format!(
-        "recorder: {} entries ({} appended, {} evicted), {} triggers{}\n",
+        "recorder: {} entries ({} appended, {} evicted), {} triggers\n",
         s("odp_recorder_entries"),
         s("odp_recorder_appended_total"),
         s("odp_recorder_evicted_total"),
         s("odp_recorder_triggers_total"),
-        if s("odp_recorder_frozen") == 1 {
-            "  ** FROZEN — incident dump at /recorder/dump **"
-        } else {
-            ""
-        },
     ));
     out
 }

@@ -130,11 +130,11 @@ pub struct ChaosReport {
     /// Tail of the merged telemetry timeline (chaos events + sampled
     /// invocation spans, causally ordered) captured after the probe.
     pub event_timeline: Vec<String>,
-    /// Flight-recorder freeze dump, captured by triggering the recorder
+    /// Flight-recorder incident dump, captured by triggering the recorder
     /// when the invariant sweep fails (empty on a clean run). Unlike
     /// `event_timeline`, this survives even when recording was off and
-    /// includes everything the always-on ring held at the moment of the
-    /// violation.
+    /// includes the newest entries the always-on ring held at the moment
+    /// of the violation.
     pub recorder_dump: Vec<String>,
 }
 
@@ -448,7 +448,7 @@ pub fn run(config: &ChaosConfig) -> Result<ChaosReport, String> {
     let committed = committed.into_inner();
     let invariants = verify_run(&committed, &final_ledger, probe_ok);
     // An invariant violation is the incident the flight recorder exists
-    // for: freeze it *now*, before anything else perturbs the ring, and
+    // for: dump it *now*, before anything else perturbs the ring, and
     // carry the dump in the report for the soak harness to print.
     let recorder_dump = if invariants.ok() {
         Vec::new()

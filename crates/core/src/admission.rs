@@ -23,8 +23,8 @@
 //! `load.shed`/`load.admit` event into the flight recorder; fast-path
 //! admits (a free slot, nobody waiting) are only counted in
 //! [`AdmissionLayer::admitted`]. At ~550k co-located admits/s an event per
-//! admit would overwrite the recorder's 16,384-entry ring every ~30 ms, so
-//! a freeze would keep nothing but admits.
+//! admit would overwrite the recorder's 65,536-entry ring every ~120 ms,
+//! so an incident dump would hold nothing but admits.
 //!
 //! Clients distinguish shed from failed: the retry layer passes
 //! rejections through without consuming retry budget, and the circuit
@@ -100,12 +100,12 @@ pub struct AdmissionLayer {
     /// expired while queued) — a subset of `shed`.
     pub expired: AtomicU64,
     /// Consecutive sheds since the last admission; reaching
-    /// [`SHED_BURST_TRIGGER`] freezes the flight recorder.
+    /// [`SHED_BURST_TRIGGER`] triggers a flight-recorder dump.
     shed_run: AtomicU64,
 }
 
 /// Consecutive sheds (with no admission in between) that count as a shed
-/// *burst* and trigger a flight-recorder freeze: one-off rejections under
+/// *burst* and trigger a flight-recorder dump: one-off rejections under
 /// transient pressure are normal E17 behaviour, a solid run of them means
 /// the server is saturated and the lead-up is worth keeping.
 pub const SHED_BURST_TRIGGER: u64 = 32;

@@ -25,7 +25,7 @@
 //!   exported interfaces can be dispatched fully concurrently or serialized.
 
 use crate::invocation::{
-    AccessLayer, CallRequest, ClientBinding, ClientLayer, InvokeError, ServerLayer, ServerNext,
+    AccessLayer, CallRequest, ClientBinding, InvokeError, ServerLayer, ServerNext,
 };
 use crate::object::{self, terminations, CallCtx, Outcome, Servant};
 use crate::transparency::TransparencyPolicy;
@@ -419,21 +419,6 @@ impl Capsule {
         self.crashed.load(Ordering::SeqCst)
     }
 
-    /// `(interface, epoch)` of every *active* export — the manifest a
-    /// supervisor snapshots before (or after) a crash to know what must be
-    /// recovered, and at which epoch to re-export (`epoch + 1`).
-    #[must_use]
-    pub fn export_manifest(&self) -> Vec<(InterfaceId, u64)> {
-        self.exports
-            .read()
-            .iter()
-            .filter_map(|(id, e)| match e {
-                ExportEntry::Active { epoch, .. } => Some((*id, *epoch)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The epoch of an active export, if any.
     #[must_use]
     pub fn epoch_of(&self, iface: InterfaceId) -> Option<u64> {
@@ -628,22 +613,6 @@ impl Capsule {
     #[must_use]
     pub fn default_qos() -> CallQos {
         CallQos::default()
-    }
-
-    /// Installs extra client layers in front of an existing binding's
-    /// stack (used by crates that add transparencies after bind time).
-    #[must_use]
-    pub fn rebind_with_layers(
-        self: &Arc<Self>,
-        binding: &ClientBinding,
-        mut extra: Vec<Arc<dyn ClientLayer>>,
-        policy: TransparencyPolicy,
-    ) -> ClientBinding {
-        let cell = binding.target_cell();
-        let access = AccessLayer::new(self, policy.force_remote);
-        let mut layers = policy.build_layers(self, &cell);
-        extra.append(&mut layers);
-        ClientBinding::assemble(cell, extra, access, policy.qos)
     }
 }
 

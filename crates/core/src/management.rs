@@ -112,7 +112,6 @@ pub fn telemetry_interface_type() -> InterfaceType {
                 OutcomeSig::new("none", vec![]),
             ],
         )
-        .interrogation("recorder_thaw", vec![], vec![OutcomeSig::ok(vec![])])
         .build()
 }
 
@@ -171,7 +170,8 @@ impl Servant for TelemetryServant {
                     })
                     .collect(),
             )]),
-            "timeline" => {
+            // The timeline is the flight recorder's ring: one view, two names.
+            "timeline" | "recorder" => {
                 let limit = args
                     .first()
                     .and_then(Value::as_int)
@@ -209,19 +209,6 @@ impl Servant for TelemetryServant {
                 let data = odp_telemetry::ExpositionData::gather();
                 Outcome::ok(vec![Value::str(odp_telemetry::render_json(&data))])
             }
-            "recorder" => {
-                let limit = args
-                    .first()
-                    .and_then(Value::as_int)
-                    .map_or(100, |n| n.max(0) as usize);
-                Outcome::ok(vec![Value::Seq(
-                    hub.recorder()
-                        .render(limit)
-                        .into_iter()
-                        .map(Value::str)
-                        .collect(),
-                )])
-            }
             "recorder_dump" => match hub.recorder().last_dump() {
                 Some(dump) => Outcome::ok(vec![
                     Value::str(dump.reason),
@@ -229,10 +216,6 @@ impl Servant for TelemetryServant {
                 ]),
                 None => Outcome::new("none", vec![]),
             },
-            "recorder_thaw" => {
-                hub.recorder().thaw();
-                Outcome::ok(vec![])
-            }
             _ => Outcome::fail("unknown operation"),
         }
     }
@@ -426,23 +409,24 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"metrics\""));
 
-        // The flight recorder is reachable: its live tail renders, and
-        // after a trigger the frozen dump is served until thawed.
+        // The flight recorder is reachable: its live tail renders, and a
+        // trigger's dump is served. Other tests in this binary trigger the
+        // process-global recorder too, so re-trigger until the served
+        // dump is this test's own.
         let out = binding
             .interrogate("recorder", vec![Value::Int(10)])
             .unwrap();
         assert!(out.is_ok());
 
-        let hub = odp_telemetry::hub();
-        hub.recorder().trigger("test.management", hub.now_ns());
-        let out = binding.interrogate("recorder_dump", vec![]).unwrap();
-        assert!(out.is_ok());
-        assert_eq!(
-            out.results.first().and_then(Value::as_str),
-            Some("test.management")
+        let served_own_dump = (0..100).any(|_| {
+            hub.recorder().trigger("test.management", hub.now_ns());
+            let out = binding.interrogate("recorder_dump", vec![]).unwrap();
+            assert!(out.is_ok());
+            out.results.first().and_then(Value::as_str) == Some("test.management")
+        });
+        assert!(
+            served_own_dump,
+            "recorder_dump never served this test's dump"
         );
-        let out = binding.interrogate("recorder_thaw", vec![]).unwrap();
-        assert!(out.is_ok());
-        assert!(!hub.recorder().stats().frozen);
     }
 }

@@ -90,24 +90,6 @@ impl NodeManager {
         self.factories.lock().insert(name.into(), factory);
     }
 
-    /// Starts every registered factory — the §6 "creating any servers on
-    /// that machine which are required by default" step after restart.
-    /// Returns the started references.
-    #[must_use]
-    pub fn start_defaults(&self) -> Vec<odp_wire::InterfaceRef> {
-        let Some(capsule) = self.capsule.upgrade() else {
-            return Vec::new();
-        };
-        let factories = self.factories.lock();
-        let mut refs = Vec::new();
-        for factory in factories.values() {
-            let r = capsule.export(factory());
-            self.started.lock().push(r.iface);
-            refs.push(r);
-        }
-        refs
-    }
-
     /// Interfaces started by this manager.
     #[must_use]
     pub fn started(&self) -> Vec<InterfaceId> {

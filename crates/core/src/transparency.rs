@@ -541,7 +541,7 @@ impl ClientLayer for CircuitBreakerLayer {
                         trace_id,
                         format!("consecutive_failures={}", inner.consecutive_failures),
                     );
-                    // A breaker opening is an incident: freeze the flight
+                    // A breaker opening is an incident: dump the flight
                     // recorder so the lead-up survives for the post-mortem.
                     hub.recorder().trigger("breaker.open", hub.now_ns());
                 }

@@ -59,13 +59,6 @@ impl RefRegistry {
         self.edges.lock().entry(from).or_default().insert(to);
     }
 
-    /// Removes a local edge.
-    pub fn remove_edge(&self, from: InterfaceId, to: InterfaceId) {
-        if let Some(set) = self.edges.lock().get_mut(&from) {
-            set.remove(&to);
-        }
-    }
-
     /// Records the references held inside `value` as edges out of `from`.
     pub fn record_refs_in(&self, from: InterfaceId, value: &Value) {
         let mut refs = Vec::new();
@@ -79,11 +72,6 @@ impl RefRegistry {
     /// Pins an object: it is always a GC root.
     pub fn pin(&self, iface: InterfaceId) {
         self.pins.lock().insert(iface);
-    }
-
-    /// Unpins an object.
-    pub fn unpin(&self, iface: InterfaceId) {
-        self.pins.lock().remove(&iface);
     }
 
     /// Marks from roots (live leases + pins) through local edges; returns

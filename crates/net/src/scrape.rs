@@ -16,7 +16,7 @@
 //! | `/metrics`      | Prometheus text exposition (with exemplars)   |
 //! | `/metrics.json` | the same registry as a JSON document          |
 //! | `/recorder`     | flight-recorder tail (newest entries last)    |
-//! | `/recorder/dump`| last freeze dump, if a trigger has fired      |
+//! | `/recorder/dump`| last incident dump, if a trigger has fired    |
 //! | `/trace/<id>`   | rendered span tree for one trace id           |
 
 use odp_telemetry::{hub, render_json, render_prometheus, ExpositionData};
@@ -178,20 +178,20 @@ fn route(stream: &mut TcpStream, path: &str) {
             respond(stream, 200, "application/json", &body);
         }
         "/recorder" => {
-            let mut body = hub().recorder().render(RECORDER_TAIL).join("\n");
+            let mut body = hub().render_timeline(RECORDER_TAIL).join("\n");
             body.push('\n');
             respond(stream, 200, "text/plain", &body);
         }
         "/recorder/dump" => match hub().recorder().last_dump() {
             Some(dump) => {
-                let mut body = format!("# frozen: {} @{}ns\n", dump.reason, dump.at_ns);
+                let mut body = format!("# dump: {} @{}ns\n", dump.reason, dump.at_ns);
                 for line in &dump.lines {
                     body.push_str(line);
                     body.push('\n');
                 }
                 respond(stream, 200, "text/plain", &body);
             }
-            None => respond(stream, 404, "text/plain", "no freeze dump\n"),
+            None => respond(stream, 404, "text/plain", "no incident dump\n"),
         },
         p => {
             if let Some(id) = p

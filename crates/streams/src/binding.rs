@@ -46,7 +46,6 @@ pub struct BindingTemplate {
 }
 
 struct FlowRuntime {
-    spec: FlowSpec,
     monitor: Arc<QosMonitor>,
     rate_fps: Arc<AtomicU32>,
     produced: Arc<AtomicU64>,
@@ -129,7 +128,6 @@ impl StreamBinding {
                     .expect("spawn flow pacer"),
             );
             flows.push(FlowRuntime {
-                spec: tf.spec,
                 monitor,
                 rate_fps: rate,
                 produced,
@@ -206,12 +204,6 @@ impl StreamBinding {
     #[must_use]
     pub fn qos_report(&self, flow: usize) -> Option<QosReport> {
         self.flows.get(flow).map(|f| f.monitor.report())
-    }
-
-    /// The declared spec of a flow.
-    #[must_use]
-    pub fn flow_spec(&self, flow: usize) -> Option<&FlowSpec> {
-        self.flows.get(flow).map(|f| &f.spec)
     }
 }
 

@@ -124,11 +124,6 @@ impl StreamEndpoint {
         self.sinks.lock().insert((stream, flow), sink);
     }
 
-    /// Removes a sink.
-    pub fn clear_sink(&self, stream: StreamId, flow: u32) {
-        self.sinks.lock().remove(&(stream, flow));
-    }
-
     /// Sends one frame to the stream endpoint of `to`.
     ///
     /// # Errors

@@ -237,7 +237,7 @@ pub fn render_prometheus(data: &ExpositionData) -> String {
     }
 
     let rec = &data.recorder;
-    let rec_series: [(&str, &str, &str, u64); 5] = [
+    let rec_series: [(&str, &str, &str, u64); 4] = [
         (
             "odp_recorder_entries",
             "gauge",
@@ -261,12 +261,6 @@ pub fn render_prometheus(data: &ExpositionData) -> String {
             "counter",
             "Freeze triggers fired on the flight recorder.",
             rec.triggers,
-        ),
-        (
-            "odp_recorder_frozen",
-            "gauge",
-            "Whether the flight recorder is frozen (1) or live (0).",
-            u64::from(rec.frozen),
         ),
     ];
     for (name, kind, help, value) in rec_series {
@@ -377,9 +371,8 @@ pub fn render_json(data: &ExpositionData) -> String {
     let r = &data.recorder;
     let _ = write!(
         out,
-        ",\"recorder\":{{\"entries\":{},\"appended\":{},\"evicted\":{},\"triggers\":{},\
-         \"frozen\":{}}}}}",
-        r.entries, r.appended, r.evicted, r.triggers, r.frozen
+        ",\"recorder\":{{\"entries\":{},\"appended\":{},\"evicted\":{},\"triggers\":{}}}}}",
+        r.entries, r.appended, r.evicted, r.triggers
     );
     out
 }
@@ -445,7 +438,7 @@ mod tests {
         assert!(json.contains("\"exemplar\":{\"trace_id\":42,\"node\":1}"));
         assert!(json.contains("\"queue\":\"admission.normal\""));
         assert!(json.contains("\"pool_hits\":10"));
-        assert!(json.contains("\"frozen\":false"));
+        assert!(json.contains("\"triggers\":0}"));
     }
 
     #[test]

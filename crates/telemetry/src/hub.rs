@@ -1,6 +1,6 @@
-//! The process-wide telemetry hub: owns the metric registry, the span
-//! and event ring buffers, the sampling decision, and the monotonic
-//! clock every record is stamped with.
+//! The process-wide telemetry hub: owns the metric registry, the flight
+//! recorder (the one ring of spans and events), the sampling decision,
+//! and the monotonic clock every record is stamped with.
 //!
 //! Cost model (the contract the e16 bench verifies):
 //! - recording **off**: every instrumentation site is a single relaxed
@@ -8,20 +8,17 @@
 //! - recording **on, call unsampled**: per-layer counter increments
 //!   only (relaxed `fetch_add`), no timestamps, no locks;
 //! - recording **on, call sampled**: full span records with start/end
-//!   timestamps pushed into a bounded ring — the only path that takes
-//!   the (short, uncontended) ring mutex.
+//!   timestamps, each moved into the recorder's bounded ring with one
+//!   (short, uncontended) mutex push — the only path that takes a lock.
+//!
+//! Events take the same single push whatever the recording switch says.
 
 use crate::context::{TraceContext, FLAG_SAMPLED};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::recorder::{FlightEntry, FlightRecorder};
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Ring capacity for spans and for events (each).
-const RING_CAP: usize = 65_536;
 
 /// Which fraction of root traces get full span recording.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +27,8 @@ pub enum Sampling {
     Off,
     /// Every trace is sampled (tests, demos, post-mortems).
     All,
-    /// One root trace in `n` is sampled (production-style).
+    /// One root trace in `n` is sampled (production-style); `n <= 1`
+    /// samples every trace.
     OneIn(u32),
 }
 
@@ -83,8 +81,6 @@ pub struct TelemetryHub {
     next_span: AtomicU64,
     sample_tick: AtomicU64,
     epoch: Instant,
-    spans: Mutex<VecDeque<SpanRecord>>,
-    events: Mutex<VecDeque<EventRecord>>,
     registry: MetricsRegistry,
     recorder: FlightRecorder,
 }
@@ -100,15 +96,14 @@ pub fn hub() -> &'static TelemetryHub {
         next_span: AtomicU64::new(1),
         sample_tick: AtomicU64::new(0),
         epoch: Instant::now(),
-        spans: Mutex::new(VecDeque::new()),
-        events: Mutex::new(VecDeque::new()),
         registry: MetricsRegistry::new(),
         recorder: FlightRecorder::new(),
     })
 }
 
 impl TelemetryHub {
-    /// Is any recording (counters, events, spans) enabled?
+    /// Is recording (counters, spans) enabled? Events are kept either
+    /// way.
     #[inline]
     pub fn recording(&self) -> bool {
         self.recording.load(Ordering::Relaxed)
@@ -125,7 +120,7 @@ impl TelemetryHub {
         let raw = match sampling {
             Sampling::Off => 0,
             Sampling::All => 1,
-            Sampling::OneIn(n) => n.max(2),
+            Sampling::OneIn(n) => n.max(1),
         };
         self.sampling.store(raw, Ordering::Relaxed);
     }
@@ -181,48 +176,23 @@ impl TelemetryHub {
         }
     }
 
-    /// Store a completed span (bounded ring; oldest evicted first). A
-    /// copy also lands in the flight recorder, which survives ring
-    /// eviction and [`clear`](TelemetryHub::clear).
+    /// Store a completed span in the flight recorder (bounded ring;
+    /// oldest evicted first).
     pub fn record_span(&self, span: SpanRecord) {
-        if self.recorder.accepting() {
-            self.recorder.push(FlightEntry::Span(span.clone()));
-        }
-        let mut ring = self.spans.lock();
-        if ring.len() >= RING_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(span);
+        self.recorder.push(FlightEntry::Span(span));
     }
 
-    /// Record a point event on the shared timeline. With recording off
-    /// the timeline ring skips it, but the always-on flight recorder
-    /// still captures it — breaker opens and load sheds stay on the
-    /// post-mortem record no matter what the recording switch says.
+    /// Record a point event on the shared timeline. Kept whatever the
+    /// recording switch says — breaker opens and load sheds stay on the
+    /// post-mortem record even with recording off.
     pub fn event(&self, kind: &'static str, node: u64, trace_id: u64, detail: impl Into<String>) {
-        let recording = self.recording();
-        if !recording && !self.recorder.accepting() {
-            return;
-        }
-        let record = EventRecord {
+        self.recorder.push(FlightEntry::Event(EventRecord {
             at_ns: self.now_ns(),
             kind,
             node,
             trace_id,
             detail: detail.into(),
-        };
-        if !recording {
-            // Recorder-only path (production default): move the record,
-            // no clone, one ring append.
-            self.recorder.push(FlightEntry::Event(record));
-            return;
-        }
-        self.recorder.push(FlightEntry::Event(record.clone()));
-        let mut ring = self.events.lock();
-        if ring.len() >= RING_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(record);
+        }));
     }
 
     /// The always-on flight recorder.
@@ -242,33 +212,26 @@ impl TelemetryHub {
 
     /// Copy of all retained spans, in arrival order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().iter().cloned().collect()
+        self.recorder.collect(|e| match e {
+            FlightEntry::Span(s) => Some(s.clone()),
+            FlightEntry::Event(_) => None,
+        })
     }
 
     /// Copy of all retained events, in arrival order.
     pub fn events(&self) -> Vec<EventRecord> {
-        self.events.lock().iter().cloned().collect()
+        self.recorder.collect(|e| match e {
+            FlightEntry::Event(ev) => Some(ev.clone()),
+            FlightEntry::Span(_) => None,
+        })
     }
 
     /// All retained spans belonging to `trace_id`.
     pub fn trace_spans(&self, trace_id: u64) -> Vec<SpanRecord> {
-        self.spans
-            .lock()
-            .iter()
-            .filter(|s| s.trace_id == trace_id)
-            .cloned()
-            .collect()
-    }
-
-    /// Drop all retained spans and events and reset metrics (test
-    /// isolation; the sampling/recording switches are left alone).
-    /// The flight recorder is deliberately *not* cleared — surviving
-    /// routine clears is its reason to exist; use
-    /// [`recorder()`](TelemetryHub::recorder)`.clear()` explicitly.
-    pub fn clear(&self) {
-        self.spans.lock().clear();
-        self.events.lock().clear();
-        self.registry.clear();
+        self.recorder.collect(|e| match e {
+            FlightEntry::Span(s) if s.trace_id == trace_id => Some(s.clone()),
+            _ => None,
+        })
     }
 
     /// Render the merged, causally-ordered timeline — spans (by start
@@ -276,41 +239,7 @@ impl TelemetryHub {
     /// lines. This is the post-mortem artifact the chaos harness dumps
     /// on an invariant violation.
     pub fn render_timeline(&self, limit: usize) -> Vec<String> {
-        // (time, tiebreak, line): events sort before spans at equal times
-        // so a fault reads as preceding the calls it affected.
-        let mut lines: Vec<(u64, u8, String)> = Vec::new();
-        for e in self.events.lock().iter() {
-            lines.push((
-                e.at_ns,
-                0,
-                format!(
-                    "[{:>12}ns] event {:<22} node={} trace={} {}",
-                    e.at_ns, e.kind, e.node, e.trace_id, e.detail
-                ),
-            ));
-        }
-        for s in self.spans.lock().iter() {
-            let op = s.op.as_deref().unwrap_or("-");
-            lines.push((
-                s.start_ns,
-                1,
-                format!(
-                    "[{:>12}ns] span  {:<22} node={} trace={} span={} parent={} op={} {}ns -> {}",
-                    s.start_ns,
-                    s.layer,
-                    s.node,
-                    s.trace_id,
-                    s.span_id,
-                    s.parent_span,
-                    op,
-                    s.end_ns.saturating_sub(s.start_ns),
-                    s.termination
-                ),
-            ));
-        }
-        lines.sort();
-        let skip = lines.len().saturating_sub(limit);
-        lines.into_iter().skip(skip).map(|(_, _, l)| l).collect()
+        self.recorder.render_timeline(limit)
     }
 
     /// Render one trace as an indented tree rooted at its
@@ -377,6 +306,13 @@ mod tests {
         assert!(!h.begin_trace(TraceContext::NONE).is_sampled());
         h.set_sampling(Sampling::All);
         assert!(h.begin_trace(TraceContext::NONE).is_sampled());
+        // One in 1 (and the degenerate one in 0) sample every trace.
+        for n in [1, 0] {
+            h.set_sampling(Sampling::OneIn(n));
+            for _ in 0..4 {
+                assert!(h.begin_trace(TraceContext::NONE).is_sampled());
+            }
+        }
         h.set_sampling(Sampling::OneIn(1_000_000));
         // Child of a sampled parent stays sampled regardless of policy.
         let parent = TraceContext {
@@ -438,14 +374,58 @@ mod tests {
 
     #[test]
     fn events_respect_recording_switch() {
+        // Events land in the one store whatever the switch says.
         let h = hub();
         h.set_recording(false);
-        h.event("test.off", 1, 0, "ignored");
-        assert!(!h.events().iter().any(|e| e.kind == "test.off"));
+        h.event("test.off", 1, 0, "kept");
+        assert!(h.events().iter().any(|e| e.kind == "test.off"));
         h.set_recording(true);
         h.event("test.on", 1, 0, "kept");
         assert!(h.events().iter().any(|e| e.kind == "test.on"));
         h.set_recording(false);
+    }
+
+    #[test]
+    fn trigger_dumps_while_the_store_keeps_running() {
+        let h = hub();
+        let t = 0xF00D_0004;
+        let span = |span_id| SpanRecord {
+            trace_id: t,
+            span_id,
+            parent_span: 0,
+            node: 4,
+            layer: "client",
+            op: None,
+            start_ns: h.now_ns(),
+            end_ns: h.now_ns(),
+            termination: "ok".into(),
+        };
+        h.record_span(span(1));
+        h.event("test.before", 4, t, "pre-trigger");
+        let dump = h.recorder().trigger("test.hub_trigger", h.now_ns());
+        h.record_span(span(2));
+        h.event("test.after", 4, t, "post-trigger");
+
+        assert_eq!(h.trace_spans(t).len(), 2);
+        assert!(h.spans().iter().any(|s| s.trace_id == t && s.span_id == 2));
+        assert!(h.events().iter().any(|e| e.kind == "test.after"));
+        let timeline = h.render_timeline(usize::MAX);
+        assert!(timeline.iter().any(|l| l.contains("test.after")));
+        assert!(timeline
+            .iter()
+            .any(|l| l.contains(&format!("trace={t} span=2 "))));
+
+        assert!(dump.iter().any(|l| l.contains("test.before")));
+        assert!(dump
+            .iter()
+            .any(|l| l.contains(&format!("trace={t} span=1 "))));
+        assert!(!dump.iter().any(|l| l.contains("test.after")));
+        assert!(!dump
+            .iter()
+            .any(|l| l.contains(&format!("trace={t} span=2 "))));
+        let stored = h.recorder().last_dump().expect("dump stored");
+        assert_eq!(stored.reason, "test.hub_trigger");
+        assert_eq!(stored.lines, dump);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!    handles at bind time so the hot path is a couple of relaxed
 //!    `fetch_add`s.
 //! 3. [`TelemetryHub`]: the process-global hub holding the recording
-//!    switch, the sampling policy, bounded span/event rings, and the
-//!    merged timeline / trace-tree renderers used by the chaos harness
-//!    and the nucleus introspection interface.
+//!    switch, the sampling policy, the flight recorder, and the merged
+//!    timeline / trace-tree renderers used by the chaos harness and the
+//!    nucleus introspection interface.
 //! 4. [`WireStats`]: global relaxed counters for the zero-copy wire hot
 //!    path — encode-buffer pool hits/misses, borrowed-vs-copied decode
 //!    bytes, and transport write coalescing — so the marshalling
@@ -26,10 +26,11 @@
 //!    cells with exemplar-linked log₂ histograms, queue gauges, wire
 //!    stats, recorder state) rendered as Prometheus text and JSON, served
 //!    by the `TelemetryServant` and the `odp-net` scrape listener.
-//! 6. [`FlightRecorder`]: an always-on bounded ring of recent
-//!    spans/events, independent of the `recording` switch, with freeze
-//!    triggers (breaker-open, shed bursts, chaos invariant violations)
-//!    so post-mortems never depend on having had recording enabled.
+//! 6. [`FlightRecorder`]: the one trace store — an always-on bounded
+//!    ring of recent spans/events, with triggers (breaker-open, shed
+//!    bursts, chaos invariant violations) that store a rendered dump
+//!    while the ring keeps running, so post-mortems never depend on
+//!    having had recording enabled.
 //!
 //! This crate sits at the bottom of the dependency graph (std +
 //! `parking_lot` only); nodes are identified by raw `u64` so it does not
@@ -51,5 +52,5 @@ pub use hub::{hub, EventRecord, Sampling, SpanRecord, TelemetryHub};
 pub use metrics::{
     Exemplar, LayerMetrics, MetricsRegistry, MetricsSnapshot, QueueGauge, QueueSnapshot, BUCKETS,
 };
-pub use recorder::{FlightEntry, FlightRecorder, FreezeDump, RecorderStats};
+pub use recorder::{FlightRecorder, IncidentDump, RecorderStats};
 pub use wire_stats::{wire_stats, WireStats, WireStatsSnapshot};

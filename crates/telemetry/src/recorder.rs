@@ -1,25 +1,23 @@
-//! The flight recorder: an always-on bounded ring of recent spans and
-//! events, independent of the hub's `recording` switch and untouched by
-//! [`TelemetryHub::clear`](crate::TelemetryHub::clear).
+//! The flight recorder: the hub's one trace store, an always-on bounded
+//! ring of recent spans and events in arrival order.
 //!
-//! The span/event rings of PR 2 answer "what happened?" only if recording
-//! was enabled *and* nothing cleared the rings before the interesting
-//! moment. The recorder fixes both failure modes for post-mortems:
+//! Every span the hub records and every event it sees is moved into this
+//! ring once, with one (short, uncontended) mutex push; the hub's
+//! `spans()`, `events()`, `trace_spans()` and `render_timeline()` are
+//! views over it. Events are kept whatever the hub's `recording` switch
+//! says, so trigger-grade occurrences (breaker opens, load sheds, chaos
+//! faults) are always on the record.
 //!
-//! * it captures a copy of every span and event the hub sees — and it
-//!   captures events even while `recording` is **off**, so trigger-grade
-//!   occurrences (breaker opens, load sheds, chaos faults) are always on
-//!   the record;
-//! * test isolation (`hub().clear()`) never wipes it;
-//! * **triggers** (`trigger`) freeze the ring the instant something bad
-//!   is detected — breaker-open, a `load.shed` burst, a chaos invariant
-//!   violation — and stash a rendered dump, so the moments *before* the
-//!   incident survive however long the process keeps running afterwards.
+//! A **trigger** (`trigger`) — breaker-open, a `load.shed` burst, a chaos
+//! invariant violation — renders the newest `DUMP_CAP` entries into a
+//! stored [`IncidentDump`] and the ring keeps running: the moments before
+//! the incident survive in the dump however long the process runs on, and
+//! the next trigger replaces it.
 //!
-//! Cost model: when enabled and unfrozen, one (short, uncontended) mutex
-//! push per span/event the hub records — the E18 bench pins the total
+//! Cost model: when enabled, one mutex push per span/event (plus one
+//! eviction once the ring is full) — the E18 bench pins the total
 //! always-on overhead (recorder + exemplars) inside the <5% telemetry
-//! budget. When disabled, one relaxed load.
+//! budget. When disabled, one relaxed load and nothing is stored.
 
 use crate::hub::{EventRecord, SpanRecord};
 use parking_lot::Mutex;
@@ -28,58 +26,29 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Ring capacity: enough for the last few seconds of a busy node without
 /// holding a whole soak run in memory.
-pub const RECORDER_CAP: usize = 16_384;
+pub const RECORDER_CAP: usize = 65_536;
 
-/// One retained entry: a copy of a span or an event, in arrival order.
+/// Lines rendered into an [`IncidentDump`]: the newest part of the ring.
+pub(crate) const DUMP_CAP: usize = 16_384;
+
+/// One retained entry: a span or an event, in arrival order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlightEntry {
+pub(crate) enum FlightEntry {
     /// A completed span (sampled traces only — unsampled calls produce no
     /// spans anywhere).
     Span(SpanRecord),
-    /// A point event; captured even when hub recording is off.
+    /// A point event; kept even when hub recording is off.
     Event(EventRecord),
 }
 
-impl FlightEntry {
-    /// Arrival timestamp (hub-epoch nanoseconds) used for ordering.
-    fn at_ns(&self) -> u64 {
-        match self {
-            FlightEntry::Span(s) => s.start_ns,
-            FlightEntry::Event(e) => e.at_ns,
-        }
-    }
-
-    /// One post-mortem line, same shape as the hub timeline renderer.
-    fn render(&self) -> String {
-        match self {
-            FlightEntry::Span(s) => format!(
-                "[{:>12}ns] span  {:<22} node={} trace={} span={} parent={} op={} {}ns -> {}",
-                s.start_ns,
-                s.layer,
-                s.node,
-                s.trace_id,
-                s.span_id,
-                s.parent_span,
-                s.op.as_deref().unwrap_or("-"),
-                s.end_ns.saturating_sub(s.start_ns),
-                s.termination
-            ),
-            FlightEntry::Event(e) => format!(
-                "[{:>12}ns] event {:<22} node={} trace={} {}",
-                e.at_ns, e.kind, e.node, e.trace_id, e.detail
-            ),
-        }
-    }
-}
-
-/// A stored incident dump: why the ring froze and what it held.
+/// A stored incident dump: what fired the trigger and what the ring held.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FreezeDump {
+pub struct IncidentDump {
     /// The trigger kind, e.g. `"breaker.open"` or `"invariant.violation"`.
     pub reason: String,
     /// Hub-epoch nanoseconds at which the trigger fired.
     pub at_ns: u64,
-    /// Rendered ring contents at the moment of the freeze, oldest first.
+    /// Rendered timeline at the moment of the trigger, oldest first.
     pub lines: Vec<String>,
 }
 
@@ -94,8 +63,6 @@ pub struct RecorderStats {
     pub evicted: u64,
     /// Triggers fired over the recorder's lifetime.
     pub triggers: u64,
-    /// Whether the ring is currently frozen.
-    pub frozen: bool,
 }
 
 /// The always-on bounded ring. One lives inside the hub
@@ -104,12 +71,12 @@ pub struct RecorderStats {
 #[derive(Debug)]
 pub struct FlightRecorder {
     enabled: AtomicBool,
-    frozen: AtomicBool,
+    /// Bumped under the `ring` lock: entries leave only by eviction, so
+    /// `appended - ring.len()` is the eviction count.
     appended: AtomicU64,
-    evicted: AtomicU64,
     triggers: AtomicU64,
     ring: Mutex<VecDeque<FlightEntry>>,
-    last_dump: Mutex<Option<FreezeDump>>,
+    last_dump: Mutex<Option<IncidentDump>>,
 }
 
 impl Default for FlightRecorder {
@@ -119,58 +86,56 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// An enabled, unfrozen, empty recorder.
+    /// An enabled, empty recorder.
     #[must_use]
     pub fn new() -> FlightRecorder {
         FlightRecorder {
             enabled: AtomicBool::new(true),
-            frozen: AtomicBool::new(false),
             appended: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
             triggers: AtomicU64::new(0),
             ring: Mutex::new(VecDeque::new()),
             last_dump: Mutex::new(None),
         }
     }
 
-    /// Is the recorder accepting entries? (Enabled and not frozen.)
-    #[inline]
-    pub fn accepting(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed) && !self.frozen.load(Ordering::Relaxed)
-    }
-
     /// Master switch (on by default). Unlike the hub's `recording` flag
-    /// this is meant to stay on in production; turning it off exists for
+    /// this is meant to stay on in production; turning it off — which
+    /// stores nothing at all, spans and events alike — exists for
     /// overhead comparison (the E18 bench) and paranoid tuning.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Append one entry (dropped while disabled or frozen).
-    pub fn push(&self, entry: FlightEntry) {
-        if !self.accepting() {
+    /// Append one entry (dropped while disabled).
+    pub(crate) fn push(&self, entry: FlightEntry) {
+        if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.appended.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock();
-        if ring.len() >= RECORDER_CAP {
-            ring.pop_front();
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
+        self.appended.fetch_add(1, Ordering::Relaxed);
+        let evicted = if ring.len() >= RECORDER_CAP {
+            ring.pop_front()
+        } else {
+            None
+        };
         ring.push_back(entry);
+        // Free the evicted entry's strings after releasing the lock.
+        drop(ring);
+        drop(evicted);
     }
 
-    /// Freeze the ring and stash a rendered dump under `reason`. The
-    /// first trigger wins: while frozen, later triggers only count — the
-    /// stored dump keeps describing the *original* incident until
-    /// [`thaw`](FlightRecorder::thaw). Returns the dump lines.
+    /// Clones of the retained entries `pick` selects, in arrival order.
+    pub(crate) fn collect<T>(&self, pick: impl FnMut(&FlightEntry) -> Option<T>) -> Vec<T> {
+        self.ring.lock().iter().filter_map(pick).collect()
+    }
+
+    /// Render the newest `DUMP_CAP` entries into the stored dump under
+    /// `reason`, replacing any earlier dump; the ring keeps running.
+    /// Returns the dump lines.
     pub fn trigger(&self, reason: &str, at_ns: u64) -> Vec<String> {
         self.triggers.fetch_add(1, Ordering::Relaxed);
-        if self.frozen.swap(true, Ordering::SeqCst) {
-            return self.dump();
-        }
-        let lines = self.render(usize::MAX);
-        *self.last_dump.lock() = Some(FreezeDump {
+        let lines = self.render_timeline(DUMP_CAP);
+        *self.last_dump.lock() = Some(IncidentDump {
             reason: reason.to_owned(),
             at_ns,
             lines: lines.clone(),
@@ -178,63 +143,62 @@ impl FlightRecorder {
         lines
     }
 
-    /// Resume appending after an incident has been harvested.
-    pub fn thaw(&self) {
-        self.frozen.store(false, Ordering::SeqCst);
-    }
-
-    /// The stored incident dump, if any trigger has fired. The dump
-    /// survives [`thaw`](FlightRecorder::thaw); only the next post-thaw
-    /// trigger replaces it.
+    /// The dump stored by the most recent trigger, if any has fired.
     #[must_use]
-    pub fn last_dump(&self) -> Option<FreezeDump> {
+    pub fn last_dump(&self) -> Option<IncidentDump> {
         self.last_dump.lock().clone()
     }
 
-    /// Render the last `limit` retained entries, oldest first (the live
-    /// tail; use [`trigger`](FlightRecorder::trigger)/
-    /// [`last_dump`](FlightRecorder::last_dump) for incident dumps).
+    /// Render the merged, causally-ordered timeline — spans (by start
+    /// time) and events interleaved — keeping only the last `limit`
+    /// lines (callers outside the crate use
+    /// [`TelemetryHub::render_timeline`](crate::TelemetryHub::render_timeline)).
     #[must_use]
-    pub fn render(&self, limit: usize) -> Vec<String> {
+    pub(crate) fn render_timeline(&self, limit: usize) -> Vec<String> {
         let ring = self.ring.lock();
         let mut entries: Vec<&FlightEntry> = ring.iter().collect();
-        entries.sort_by_key(|e| e.at_ns());
+        // Events sort before spans at equal times so a fault reads as
+        // preceding the calls it affected; ties keep arrival order.
+        entries.sort_by_key(|e| match e {
+            FlightEntry::Event(e) => (e.at_ns, 0),
+            FlightEntry::Span(s) => (s.start_ns, 1),
+        });
         let skip = entries.len().saturating_sub(limit);
-        entries
-            .into_iter()
-            .skip(skip)
-            .map(FlightEntry::render)
+        entries[skip..]
+            .iter()
+            .map(|e| match e {
+                FlightEntry::Event(e) => format!(
+                    "[{:>12}ns] event {:<22} node={} trace={} {}",
+                    e.at_ns, e.kind, e.node, e.trace_id, e.detail
+                ),
+                FlightEntry::Span(s) => format!(
+                    "[{:>12}ns] span  {:<22} node={} trace={} span={} parent={} op={} {}ns -> {}",
+                    s.start_ns,
+                    s.layer,
+                    s.node,
+                    s.trace_id,
+                    s.span_id,
+                    s.parent_span,
+                    s.op.as_deref().unwrap_or("-"),
+                    s.end_ns.saturating_sub(s.start_ns),
+                    s.termination
+                ),
+            })
             .collect()
-    }
-
-    /// The stored dump's lines, or the live tail when nothing is stored.
-    #[must_use]
-    pub fn dump(&self) -> Vec<String> {
-        match self.last_dump.lock().as_ref() {
-            Some(dump) => dump.lines.clone(),
-            None => self.render(usize::MAX),
-        }
     }
 
     /// Counter snapshot for exposition.
     #[must_use]
     pub fn stats(&self) -> RecorderStats {
+        let ring = self.ring.lock();
+        let entries = ring.len() as u64;
+        let appended = self.appended.load(Ordering::Relaxed);
         RecorderStats {
-            entries: self.ring.lock().len() as u64,
-            appended: self.appended.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
+            entries,
+            appended,
+            evicted: appended - entries,
             triggers: self.triggers.load(Ordering::Relaxed),
-            frozen: self.frozen.load(Ordering::SeqCst),
         }
-    }
-
-    /// Drop retained entries and the stored dump, and unfreeze (test
-    /// isolation — deliberately *not* wired into the hub's `clear`, which
-    /// is the whole point of the recorder).
-    pub fn clear(&self) {
-        self.ring.lock().clear();
-        *self.last_dump.lock() = None;
-        self.frozen.store(false, Ordering::SeqCst);
     }
 }
 
@@ -262,33 +226,47 @@ mod tests {
         assert_eq!(stats.entries, RECORDER_CAP as u64);
         assert_eq!(stats.evicted, 10);
         assert_eq!(stats.appended, RECORDER_CAP as u64 + 10);
-        let tail = r.render(2);
+        let tail = r.render_timeline(2);
         assert_eq!(tail.len(), 2);
         assert!(tail[1].contains(&format!("{}ns", RECORDER_CAP + 9)));
     }
 
     #[test]
-    fn trigger_freezes_and_first_incident_wins() {
+    fn trigger_dumps_and_ring_keeps_running() {
         let r = FlightRecorder::new();
         r.push(event("before", 1));
         let dump = r.trigger("breaker.open", 2);
         assert_eq!(dump.len(), 1);
         assert!(dump[0].contains("before"));
-        // Frozen: nothing is appended, the dump stays the incident's.
+        // The ring keeps running: a later entry is retained and rendered,
+        // while the stored dump keeps only what preceded the trigger.
         r.push(event("after", 3));
-        assert!(!r.accepting());
-        let second = r.trigger("load.shed_burst", 4);
-        assert_eq!(second, dump);
+        assert_eq!(r.stats().entries, 2);
+        assert!(r.render_timeline(usize::MAX)[1].contains("after"));
         let stored = r.last_dump().expect("dump stored");
         assert_eq!(stored.reason, "breaker.open");
         assert_eq!(stored.lines, dump);
+        // A second trigger replaces the dump and is counted.
+        let second = r.trigger("load.shed.burst", 4);
+        assert_eq!(second.len(), 2);
+        let stored = r.last_dump().expect("dump replaced");
+        assert_eq!(stored.reason, "load.shed.burst");
+        assert_eq!(stored.at_ns, 4);
         assert_eq!(r.stats().triggers, 2);
-        // Thaw: appending resumes, the stored dump survives until the
-        // next trigger replaces it.
-        r.thaw();
-        r.push(event("recovered", 5));
-        assert_eq!(r.stats().entries, 2);
-        assert_eq!(r.last_dump().expect("still stored").reason, "breaker.open");
+    }
+
+    #[test]
+    fn dump_is_capped_below_the_ring() {
+        let r = FlightRecorder::new();
+        for i in 0..(RECORDER_CAP as u64) {
+            r.push(event("fill", i));
+        }
+        assert_eq!(r.stats().entries, RECORDER_CAP as u64);
+        let dump = r.trigger("test.cap", 0);
+        assert_eq!(dump.len(), DUMP_CAP);
+        // The dump is the newest part of the ring.
+        assert!(dump[DUMP_CAP - 1].contains(&format!("{}ns", RECORDER_CAP - 1)));
+        assert_eq!(r.stats().entries, RECORDER_CAP as u64);
     }
 
     #[test]

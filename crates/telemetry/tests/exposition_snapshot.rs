@@ -44,7 +44,6 @@ fn pinned_data() -> ExpositionData {
             appended: 5,
             evicted: 3,
             triggers: 1,
-            frozen: false,
         },
     }
 }
@@ -110,9 +109,6 @@ odp_recorder_evicted_total 3
 # HELP odp_recorder_triggers_total Freeze triggers fired on the flight recorder.
 # TYPE odp_recorder_triggers_total counter
 odp_recorder_triggers_total 1
-# HELP odp_recorder_frozen Whether the flight recorder is frozen (1) or live (0).
-# TYPE odp_recorder_frozen gauge
-odp_recorder_frozen 0
 "#;
 
 #[test]

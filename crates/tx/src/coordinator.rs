@@ -97,12 +97,6 @@ impl TxnSystem {
         runtime
     }
 
-    /// The runtime installed on `node`, if any.
-    #[must_use]
-    pub fn runtime_of(&self, node: NodeId) -> Option<Arc<crate::TxnRuntime>> {
-        self.runtimes.read().get(&node).cloned()
-    }
-
     /// Begins a transaction coordinated through `coordinator_capsule`.
     #[must_use]
     pub fn begin(self: &Arc<Self>, coordinator_capsule: &Arc<Capsule>) -> Txn {

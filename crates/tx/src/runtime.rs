@@ -51,24 +51,6 @@ impl Access {
             key: String::new(),
         }
     }
-
-    /// Keyed read access.
-    #[must_use]
-    pub fn read_key<S: Into<String>>(key: S) -> Self {
-        Self {
-            mode: LockMode::Shared,
-            key: key.into(),
-        }
-    }
-
-    /// Keyed write access.
-    #[must_use]
-    pub fn write_key<S: Into<String>>(key: S) -> Self {
-        Self {
-            mode: LockMode::Exclusive,
-            key: key.into(),
-        }
-    }
 }
 
 /// Classifier mapping `(operation, args)` to the [`Access`] it needs.
@@ -230,12 +212,6 @@ impl TxnRuntime {
             }
         }
         self.locks.release_all(txn);
-    }
-
-    /// True if the runtime currently tracks `txn`.
-    #[must_use]
-    pub fn is_active(&self, txn: TxnId) -> bool {
-        self.resources.lock().contains_key(&txn)
     }
 }
 

@@ -22,8 +22,9 @@
 //!   independent binary encoding (LEB128 varints, length-prefixed strings)
 //!   with hardened decoding: depth limits and length sanity checks so a
 //!   malformed or hostile peer cannot crash a capsule.
-//! * [`typecheck`] — runtime checking of values against [`TypeSpec`]s, the
-//!   dynamic half of the signature type system.
+//! * [`typecheck`] — runtime checking of values against
+//!   [`TypeSpec`](odp_types::TypeSpec)s, the dynamic half of the signature
+//!   type system.
 //! * [`pool`] — the encode-buffer pool behind the zero-copy hot path:
 //!   [`marshal_pooled`] writes into a recycled [`PooledBuf`] sized by the
 //!   exact [`encoded_len`] bound, and [`unmarshal_frame`] decodes string
@@ -52,8 +53,6 @@ pub use overload::CallPriority;
 pub use pool::PooledBuf;
 pub use typecheck::{check_value, TypeCheckError};
 pub use value::{Value, WireStr};
-
-use odp_types::TypeSpec;
 
 /// Current wire format version byte. Decoders accept only versions they
 /// know; encoders always emit the latest.
@@ -134,26 +133,4 @@ pub fn unmarshal(bytes: &[u8]) -> Result<Vec<Value>, DecodeError> {
 /// As [`unmarshal`].
 pub fn unmarshal_frame(frame: &bytes::Bytes) -> Result<Vec<Value>, DecodeError> {
     unmarshal_cursor(decode::Cursor::for_frame(frame))
-}
-
-/// Marshals a payload after type-checking it against parameter specs.
-///
-/// # Errors
-///
-/// Returns the first [`TypeCheckError`] if a value does not conform to its
-/// declared spec.
-pub fn marshal_checked(
-    values: &[Value],
-    specs: &[TypeSpec],
-) -> Result<bytes::Bytes, TypeCheckError> {
-    if values.len() != specs.len() {
-        return Err(TypeCheckError::ArityMismatch {
-            expected: specs.len(),
-            actual: values.len(),
-        });
-    }
-    for (i, (v, s)) in values.iter().zip(specs).enumerate() {
-        check_value(v, s).map_err(|e| e.at_position(i))?;
-    }
-    Ok(marshal(values))
 }

@@ -7,9 +7,9 @@
 # family. A failing round prints the seed — re-exporting it reproduces the
 # exact fault timeline, bit for bit — plus the tail of the merged telemetry
 # timeline (chaos events interleaved with sampled invocation spans) and the
-# flight-recorder freeze dump (the always-on ring, frozen at the moment of
-# the violation) that the failing test dumped, and the script exits
-# non-zero.
+# flight-recorder incident dump (the always-on ring's newest entries,
+# rendered at the moment of the violation) that the failing test dumped,
+# and the script exits non-zero.
 #
 # Usage: scripts/soak.sh [rounds]      (default: 10)
 set -uo pipefail

@@ -21,7 +21,7 @@ fn base_seed() -> u64 {
 
 /// On a bad run, dump the tail of the merged telemetry timeline (chaos
 /// events + sampled spans, causally ordered) and the flight-recorder
-/// freeze dump before the assertions fire — `scripts/soak.sh` surfaces
+/// incident dump before the assertions fire — `scripts/soak.sh` surfaces
 /// these lines from the log.
 fn dump_timeline_if_bad(report: &ChaosReport, label: &str) {
     if report.invariants.ok() && report.probe_ok {
@@ -36,12 +36,11 @@ fn dump_timeline_if_bad(report: &ChaosReport, label: &str) {
     eprintln!("=== flight recorder dump ({label}) ===");
     if report.recorder_dump.is_empty() {
         // Probe failures don't trip the runner's invariant trigger;
-        // freeze the always-on ring ourselves so the dump is never blank.
+        // trigger the always-on ring ourselves so the dump is never blank.
         let hub = odp::telemetry::hub();
         for line in hub.recorder().trigger("soak.probe_failed", hub.now_ns()) {
             eprintln!("{line}");
         }
-        hub.recorder().thaw();
     } else {
         for line in &report.recorder_dump {
             eprintln!("{line}");
@@ -115,7 +114,7 @@ fn same_seed_produces_identical_fault_timelines() {
 }
 
 /// The flight recorder's contract for post-mortems: after a run full of
-/// injected faults, freezing the always-on ring yields a non-empty dump
+/// injected faults, triggering the always-on ring yields a non-empty dump
 /// containing those faults — even though the run was clean (so the
 /// runner's own invariant trigger never fired and `recorder_dump` is
 /// empty) and regardless of the `recording` switch.
@@ -128,15 +127,12 @@ fn flight_recorder_dump_is_non_empty_after_injected_faults() {
     assert!(report.invariants.ok(), "{}", report.invariants);
     assert!(
         report.recorder_dump.is_empty(),
-        "clean run must not carry a freeze dump"
+        "clean run must not carry an incident dump"
     );
 
-    // Same trigger path the runner takes on an invariant violation. A
-    // breaker opening in this run (or a concurrently running test — the
-    // recorder is process-global) may already have frozen the ring, so
-    // thaw first and stamp a marker we can assert on deterministically.
+    // Same trigger path the runner takes on an invariant violation,
+    // after a marker we can assert on deterministically.
     let hub = odp::telemetry::hub();
-    hub.recorder().thaw();
     hub.event("soak.marker", 9, 0, "injected-fault run complete");
     let dump = hub.recorder().trigger("soak.injected", hub.now_ns());
     assert!(
@@ -145,14 +141,13 @@ fn flight_recorder_dump_is_non_empty_after_injected_faults() {
     );
     assert!(
         dump.iter().any(|l| l.contains("soak.marker")),
-        "dump must contain entries up to the freeze: {dump:?}"
+        "dump must contain entries up to the trigger: {dump:?}"
     );
     assert!(
         hub.recorder().stats().appended > 0,
         "always-on recorder captured nothing during the run"
     );
     assert!(hub.recorder().last_dump().is_some());
-    hub.recorder().thaw();
 }
 
 fn echo_type() -> InterfaceType {
