@@ -56,9 +56,6 @@ pub struct ExportConfig {
     pub layers: Vec<Arc<dyn ServerLayer>>,
     /// Dispatch discipline.
     pub discipline: SyncDiscipline,
-    /// Re-check argument types at the server (defence against clients that
-    /// bypassed checking; costs one pass over the payload).
-    pub check_args: bool,
 }
 
 impl fmt::Debug for ExportConfig {
@@ -69,7 +66,6 @@ impl fmt::Debug for ExportConfig {
                 &self.layers.iter().map(|l| l.name()).collect::<Vec<_>>(),
             )
             .field("discipline", &self.discipline)
-            .field("check_args", &self.check_args)
             .finish()
     }
 }
@@ -542,31 +538,31 @@ impl Capsule {
                     serial,
                     ..
                 }) => {
-                    // Signature checks at the dispatcher.
+                    // Signature checks at the dispatcher, on every call: the
+                    // caller checked against its own reference, which may
+                    // not match the export (a stale or forged signature).
                     let Some(op_sig) = ty.operation(op) else {
                         return Outcome::engineering(
                             terminations::NO_SUCH_OPERATION,
                             vec![Value::str(op)],
                         );
                     };
-                    if config.check_args {
-                        if args.len() != op_sig.params.len() {
+                    if args.len() != op_sig.params.len() {
+                        return Outcome::engineering(
+                            terminations::TYPE_ERROR,
+                            vec![Value::str(format!(
+                                "expected {} args, got {}",
+                                op_sig.params.len(),
+                                args.len()
+                            ))],
+                        );
+                    }
+                    for (arg, spec) in args.iter().zip(&op_sig.params) {
+                        if let Err(e) = odp_wire::check_value(arg, spec) {
                             return Outcome::engineering(
                                 terminations::TYPE_ERROR,
-                                vec![Value::str(format!(
-                                    "expected {} args, got {}",
-                                    op_sig.params.len(),
-                                    args.len()
-                                ))],
+                                vec![Value::str(e.to_string())],
                             );
-                        }
-                        for (arg, spec) in args.iter().zip(&op_sig.params) {
-                            if let Err(e) = odp_wire::check_value(arg, spec) {
-                                return Outcome::engineering(
-                                    terminations::TYPE_ERROR,
-                                    vec![Value::str(e.to_string())],
-                                );
-                            }
                         }
                     }
                     (Arc::clone(servant), Arc::clone(config), Arc::clone(serial))

@@ -14,7 +14,8 @@
 //! that they can never be confused with application outcomes.
 
 use odp_types::{InterfaceType, NodeId, TxnId};
-use odp_wire::Value;
+use odp_wire::encode::{encode_str_value, put_record_header, put_str, put_varint};
+use odp_wire::{encode_value, ByteCount, EncodeBuf, PooledBuf, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -261,43 +262,37 @@ where
     }
 }
 
-/// Encodes an outcome as a REX reply body: `[Str(termination), results…]`.
-#[must_use]
-pub fn encode_outcome(outcome: &Outcome) -> bytes::Bytes {
-    let mut values = Vec::with_capacity(1 + outcome.results.len());
-    values.push(Value::str(outcome.termination.as_str()));
-    values.extend(outcome.results.iter().cloned());
-    odp_wire::marshal(&values)
+/// Writes an outcome as a REX reply body, `[Str(termination), results…]`,
+/// streaming the termination string and results without cloning them into
+/// an intermediate `Vec<Value>`.
+fn put_outcome<B: EncodeBuf>(buf: &mut B, outcome: &Outcome) {
+    buf.push_u8(odp_wire::WIRE_VERSION);
+    put_varint(buf, 1 + outcome.results.len() as u64);
+    encode_str_value(buf, &outcome.termination);
+    for v in &outcome.results {
+        encode_value(buf, v);
+    }
 }
 
-/// Encodes an outcome as a REX reply body into a recycled pool buffer,
-/// streaming the termination string and results without cloning them into
-/// an intermediate `Vec<Value>`. The steady-state server reply path costs
-/// zero heap allocations.
+/// Encodes an outcome as a REX reply body into a recycled pool buffer of
+/// exactly the body's size. The steady-state server reply path costs zero
+/// heap allocations.
 #[must_use]
-pub fn encode_outcome_pooled(outcome: &Outcome) -> odp_wire::PooledBuf {
-    use odp_wire::encode::{encode_str_value, encode_value, put_varint, str_value_len, varint_len};
-    use odp_wire::EncodeBuf;
-    let count = 1 + outcome.results.len();
-    let total = 1
-        + varint_len(count as u64)
-        + str_value_len(&outcome.termination)
-        + outcome
-            .results
-            .iter()
-            .map(odp_wire::encoded_len)
-            .sum::<usize>();
-    let mut buf = odp_wire::PooledBuf::acquire(total);
-    buf.push_u8(odp_wire::WIRE_VERSION);
-    put_varint(&mut buf, count as u64);
-    encode_str_value(&mut buf, &outcome.termination);
-    for v in &outcome.results {
-        encode_value(&mut buf, v);
-    }
+pub fn encode_outcome_pooled(outcome: &Outcome) -> PooledBuf {
+    let mut buf = PooledBuf::acquire(ByteCount::measure(|count| put_outcome(count, outcome)));
+    put_outcome(&mut buf, outcome);
     buf
 }
 
-fn outcome_from_values(mut values: Vec<Value>) -> Result<Outcome, String> {
+/// Decodes a REX reply body zero-copy: string and blob results are
+/// refcounted slices of `body` rather than copies. Callers that retain
+/// results past the frame's lifetime should [`Value::into_owned`] them.
+///
+/// # Errors
+///
+/// Returns a description if the body is not a valid outcome encoding.
+pub fn decode_outcome_frame(body: &bytes::Bytes) -> Result<Outcome, String> {
+    let mut values = odp_wire::unmarshal_frame(body).map_err(|e| e.to_string())?;
     if values.is_empty() {
         return Err("empty outcome payload".to_owned());
     }
@@ -311,80 +306,44 @@ fn outcome_from_values(mut values: Vec<Value>) -> Result<Outcome, String> {
     })
 }
 
-/// Decodes a REX reply body back into an outcome.
-///
-/// # Errors
-///
-/// Returns a description if the body is not a valid outcome encoding.
-pub fn decode_outcome(body: &[u8]) -> Result<Outcome, String> {
-    outcome_from_values(odp_wire::unmarshal(body).map_err(|e| e.to_string())?)
-}
-
-/// Decodes a REX reply body zero-copy: string and blob results are
-/// refcounted slices of `body` rather than copies. Callers that retain
-/// results past the frame's lifetime should [`Value::into_owned`] them.
-///
-/// # Errors
-///
-/// As [`decode_outcome`].
-pub fn decode_outcome_frame(body: &bytes::Bytes) -> Result<Outcome, String> {
-    outcome_from_values(odp_wire::unmarshal_frame(body).map_err(|e| e.to_string())?)
-}
-
-/// Encodes a request body: `[Record(annotations), args…]`.
-#[must_use]
-pub fn encode_request(annotations: &BTreeMap<String, Value>, args: &[Value]) -> bytes::Bytes {
-    let mut values = Vec::with_capacity(1 + args.len());
-    values.push(Value::Record(
-        annotations
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect(),
-    ));
-    values.extend(args.iter().cloned());
-    odp_wire::marshal(&values)
-}
-
-/// Encodes a request body into a recycled pool buffer, streaming the
-/// annotations map field-by-field so the hot path never clones it into a
-/// `Value::Record` or copies the args.
-#[must_use]
-pub fn encode_request_pooled(
-    annotations: &BTreeMap<String, Value>,
-    args: &[Value],
-) -> odp_wire::PooledBuf {
-    use odp_wire::encode::{
-        encode_value, put_record_header, put_str, put_varint, record_header_len, str_len,
-        varint_len,
-    };
-    use odp_wire::EncodeBuf;
-    let count = 1 + args.len();
-    let record_len = record_header_len(annotations.len())
-        + annotations
-            .iter()
-            .map(|(k, v)| str_len(k) + odp_wire::encoded_len(v))
-            .sum::<usize>();
-    let total = 1
-        + varint_len(count as u64)
-        + record_len
-        + args.iter().map(odp_wire::encoded_len).sum::<usize>();
-    let mut buf = odp_wire::PooledBuf::acquire(total);
+/// Writes a request body, `[Record(annotations), args…]`, streaming the
+/// annotations map field by field so it is never cloned into a
+/// `Value::Record` and the args are never copied.
+fn put_request<B: EncodeBuf>(buf: &mut B, annotations: &BTreeMap<String, Value>, args: &[Value]) {
     buf.push_u8(odp_wire::WIRE_VERSION);
-    put_varint(&mut buf, count as u64);
-    put_record_header(&mut buf, annotations.len());
+    put_varint(buf, 1 + args.len() as u64);
+    put_record_header(buf, annotations.len());
     for (k, v) in annotations {
-        put_str(&mut buf, k);
-        encode_value(&mut buf, v);
+        put_str(buf, k);
+        encode_value(buf, v);
     }
     for v in args {
-        encode_value(&mut buf, v);
+        encode_value(buf, v);
     }
+}
+
+/// Encodes a request body into a recycled pool buffer of exactly the
+/// body's size.
+#[must_use]
+pub fn encode_request_pooled(annotations: &BTreeMap<String, Value>, args: &[Value]) -> PooledBuf {
+    let mut buf = PooledBuf::acquire(ByteCount::measure(|count| {
+        put_request(count, annotations, args)
+    }));
+    put_request(&mut buf, annotations, args);
     buf
 }
 
-type RequestParts = (BTreeMap<String, Value>, Vec<Value>);
-
-fn request_from_values(mut values: Vec<Value>) -> Result<RequestParts, String> {
+/// Decodes a request body zero-copy into `(annotations, args)`: string
+/// and blob args are refcounted slices of `body`. Servants that retain
+/// argument values must [`Value::into_owned`] them.
+///
+/// # Errors
+///
+/// Returns a description if the body is malformed.
+pub fn decode_request_frame(
+    body: &bytes::Bytes,
+) -> Result<(BTreeMap<String, Value>, Vec<Value>), String> {
+    let mut values = odp_wire::unmarshal_frame(body).map_err(|e| e.to_string())?;
     if values.is_empty() {
         return Err("empty request payload".to_owned());
     }
@@ -393,26 +352,6 @@ fn request_from_values(mut values: Vec<Value>) -> Result<RequestParts, String> {
         other => return Err(format!("annotations must be a record, got {other:?}")),
     };
     Ok((annotations, values))
-}
-
-/// Decodes a request body into `(annotations, args)`.
-///
-/// # Errors
-///
-/// Returns a description if the body is malformed.
-pub fn decode_request(body: &[u8]) -> Result<RequestParts, String> {
-    request_from_values(odp_wire::unmarshal(body).map_err(|e| e.to_string())?)
-}
-
-/// Decodes a request body zero-copy: string and blob args are refcounted
-/// slices of `body`. Servants that retain argument values must
-/// [`Value::into_owned`] them.
-///
-/// # Errors
-///
-/// As [`decode_request`].
-pub fn decode_request_frame(body: &bytes::Bytes) -> Result<RequestParts, String> {
-    request_from_values(odp_wire::unmarshal_frame(body).map_err(|e| e.to_string())?)
 }
 
 #[cfg(test)]
@@ -433,37 +372,52 @@ mod tests {
         assert!(eng.is_engineering());
     }
 
+    /// The pooled outcome encoder writes exactly the generic marshaller's
+    /// bytes for `[Str(termination), results…]`, and decodes back.
     #[test]
     fn outcome_round_trips_through_wire() {
         let out = Outcome::new("overdrawn", vec![Value::Int(-3), Value::str("sorry")]);
-        let bytes = encode_outcome(&out);
-        let rt = decode_outcome(&bytes).unwrap();
+        let body = encode_outcome_pooled(&out);
+        let generic =
+            odp_wire::marshal(&[Value::str("overdrawn"), Value::Int(-3), Value::str("sorry")]);
+        assert_eq!(&body[..], &generic[..]);
+        let rt = decode_outcome_frame(&generic).unwrap();
         assert_eq!(rt.termination, "overdrawn");
         assert_eq!(rt.results, out.results);
     }
 
+    /// Likewise the pooled request encoder against
+    /// `marshal(&[Record(annotations), args…])`.
     #[test]
     fn request_round_trips_with_annotations() {
         let mut ann = BTreeMap::new();
         ann.insert("__txn".to_owned(), Value::Int(42));
+        ann.insert("who".to_owned(), Value::str("alice"));
         let args = vec![Value::str("arg"), Value::Int(1)];
-        let bytes = encode_request(&ann, &args);
-        let (ann2, args2) = decode_request(&bytes).unwrap();
-        assert_eq!(ann2.get("__txn"), Some(&Value::Int(42)));
+        let body = encode_request_pooled(&ann, &args);
+        let generic = odp_wire::marshal(&[
+            Value::record([("__txn", Value::Int(42)), ("who", Value::str("alice"))]),
+            Value::str("arg"),
+            Value::Int(1),
+        ]);
+        assert_eq!(&body[..], &generic[..]);
+        let (ann2, args2) = decode_request_frame(&generic).unwrap();
+        assert_eq!(ann2, ann);
         assert_eq!(args2, args);
     }
 
     #[test]
     fn malformed_bodies_rejected() {
-        assert!(decode_outcome(b"junk").is_err());
-        assert!(decode_request(b"junk").is_err());
+        let junk = bytes::Bytes::from_static(b"junk");
+        assert!(decode_outcome_frame(&junk).is_err());
+        assert!(decode_request_frame(&junk).is_err());
         // A valid payload whose first value is not a record/string.
         let bytes = odp_wire::marshal(&[Value::Int(1)]);
-        assert!(decode_outcome(&bytes).is_err());
-        assert!(decode_request(&bytes).is_err());
+        assert!(decode_outcome_frame(&bytes).is_err());
+        assert!(decode_request_frame(&bytes).is_err());
         let empty = odp_wire::marshal(&[]);
-        assert!(decode_outcome(&empty).is_err());
-        assert!(decode_request(&empty).is_err());
+        assert!(decode_outcome_frame(&empty).is_err());
+        assert!(decode_request_frame(&empty).is_err());
     }
 
     #[test]

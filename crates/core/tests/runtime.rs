@@ -176,17 +176,12 @@ fn client_side_type_checking_rejects_bad_args() {
 
 #[test]
 fn server_side_checking_catches_unchecked_clients() {
-    // A server exported with check_args catches a payload that claims a
-    // different signature (simulated by binding with a lying reference).
+    // The server checks every call against the export's own signature, so
+    // it catches a payload that claims a different signature (simulated by
+    // binding with a lying reference).
     let world = World::quick();
     let counter = Counter::new();
-    let r = world.capsule(0).export_with(
-        counter,
-        ExportConfig {
-            check_args: true,
-            ..ExportConfig::default()
-        },
-    );
+    let r = world.capsule(0).export(counter);
     // Lie about the signature: claim `add` takes a string.
     let mut lying = r.clone();
     lying.ty = InterfaceTypeBuilder::new()
@@ -201,6 +196,28 @@ fn server_side_checking_catches_unchecked_clients() {
         .interrogate("add", vec![Value::str("payload")])
         .unwrap_err();
     assert!(matches!(err, InvokeError::RemoteTypeError(_)), "{err:?}");
+}
+
+#[test]
+fn lying_callers_cannot_starve_a_default_export() {
+    // A reference that claims `add()` takes no arguments reaches a default
+    // export whose servant reads `args[0]`. Each lying call must be
+    // refused at the dispatcher, more of them than the server has
+    // workers, and an honest call must still be served afterwards.
+    let world = World::quick();
+    let r = world.capsule(0).export(Counter::new());
+    let mut lying = r.clone();
+    lying.ty = InterfaceTypeBuilder::new()
+        .interrogation("add", vec![], vec![OutcomeSig::ok(vec![TypeSpec::Int])])
+        .build();
+    let liar = world.capsule(1).bind(lying);
+    for _ in 0..6 {
+        let err = liar.interrogate("add", vec![]).unwrap_err();
+        assert!(matches!(err, InvokeError::RemoteTypeError(_)), "{err:?}");
+    }
+    let honest = world.capsule(1).bind(r);
+    let out = honest.interrogate("add", vec![Value::Int(5)]).unwrap();
+    assert_eq!(out.int(), Some(5));
 }
 
 #[test]

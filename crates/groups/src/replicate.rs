@@ -73,12 +73,6 @@ pub fn replicate(
 }
 
 impl GroupHandle {
-    /// The group's identity.
-    #[must_use]
-    pub fn group_id(&self) -> GroupId {
-        self.view.read().group
-    }
-
     /// The replication scheme in force.
     #[must_use]
     pub fn policy(&self) -> GroupPolicy {

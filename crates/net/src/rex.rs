@@ -14,7 +14,9 @@
 //!   is answered from the cache; one still executing is dropped (its reply
 //!   is on the way). The handler therefore runs **at most once per call id**
 //!   even under heavy retransmission — the property every transparency
-//!   above (transactions especially) depends on.
+//!   above (transactions especially) depends on. A handler that panics is
+//!   answered with an empty body, cached like any reply, so a panic costs
+//!   its call but never a worker.
 //! * **Announcements** are a single datagram: "in the case of announcement
 //!   \[failure reporting\] is not possible" (§5.1).
 //! * **One bounded job queue** of [`JOB_QUEUE_CAP`] feeds the `rex-worker`
@@ -40,6 +42,7 @@ use odp_wire::{CallPriority, PooledBuf};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -309,29 +312,17 @@ pub struct RexEndpoint {
     /// Incoming requests dropped because the job queue was full (each drop
     /// is also a `rex.queue_full` telemetry event).
     pub queue_full_dropped: AtomicU64,
+    /// Requests whose handler panicked; each was answered with an empty
+    /// body and is also a `rex.handler_panic` telemetry event.
+    pub handler_panics: AtomicU64,
 }
 
 /// One entry of the workers' queue.
 enum Job {
-    /// A request that arrived as a frame.
-    Remote(RexJob),
+    /// A request that arrived as a frame, with its call id.
+    Remote(u64, RexRequest),
     /// Work queued by this endpoint's own node.
     Local(LocalJob),
-}
-
-struct RexJob {
-    from: NodeId,
-    call_id: u64,
-    trace: TraceContext,
-    priority: CallPriority,
-    /// Absolute deadline anchored at arrival; `None` when no budget was
-    /// sent. The frame sink anchors it before queueing the job, so time
-    /// spent behind other jobs counts against the caller's budget.
-    deadline: Option<Instant>,
-    iface: InterfaceId,
-    op: String,
-    body: Bytes,
-    announcement: bool,
 }
 
 impl RexEndpoint {
@@ -378,6 +369,7 @@ impl RexEndpoint {
             deadlines_expired: AtomicU64::new(0),
             malformed_dropped: AtomicU64::new(0),
             queue_full_dropped: AtomicU64::new(0),
+            handler_panics: AtomicU64::new(0),
         });
         let sink_ep = Arc::downgrade(&ep);
         let registered = ep.transport.register(
@@ -601,7 +593,7 @@ impl RexEndpoint {
             Err(refused) => match refused.into_inner() {
                 Job::Local(job) => Err(job),
                 // Only a local job was offered, so only one comes back.
-                Job::Remote(_) => Ok(()),
+                Job::Remote(..) => Ok(()),
             },
         }
     }
@@ -654,17 +646,19 @@ impl RexEndpoint {
             }) => {
                 let deadline = (budget_micros > 0)
                     .then(|| Instant::now() + Duration::from_micros(budget_micros));
-                let queued = self.job_tx.try_send(Job::Remote(RexJob {
-                    from,
+                let queued = self.job_tx.try_send(Job::Remote(
                     call_id,
-                    trace,
-                    priority,
-                    deadline,
-                    iface,
-                    op,
-                    body,
-                    announcement,
-                }));
+                    RexRequest {
+                        from,
+                        iface,
+                        op,
+                        body,
+                        announcement,
+                        trace,
+                        priority,
+                        deadline,
+                    },
+                ));
                 if let Err(TrySendError::Full(_)) = queued {
                     // The sink must not block the delivering thread: drop
                     // the request. The caller's retransmission recovers an
@@ -697,8 +691,8 @@ impl RexEndpoint {
 
     fn worker(self: &Arc<Self>, rx: &Receiver<Job>) {
         loop {
-            let job = match rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(Job::Remote(job)) => job,
+            let (call_id, req) = match rx.recv_timeout(Duration::from_millis(100)) {
+                Ok(Job::Remote(call_id, req)) => (call_id, req),
                 Ok(Job::Local(run)) => {
                     run();
                     continue;
@@ -711,17 +705,18 @@ impl RexEndpoint {
                 }
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
             };
-            let key = (job.from, job.call_id);
-            if !job.announcement {
+            let (from, announcement) = (req.from, req.announcement);
+            let key = (from, call_id);
+            if !announcement {
                 let mut server = self.server.lock();
                 if let Some(cached) = server.cache.get(&key) {
                     // Retransmission of a completed call: resend the reply,
                     // do NOT re-execute.
                     self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
-                    let reply = encode_reply(job.call_id, cached);
+                    let reply = encode_reply(call_id, cached);
                     drop(server);
                     // odp-lint: allow(l6, reason = "reply delivery is best-effort; the caller's retransmit re-requests it from the cache")
-                    let _ = self.transport.send_frame(self.node, job.from, &reply);
+                    let _ = self.transport.send_frame(self.node, from, &reply);
                     continue;
                 }
                 if !server.executing.insert(key) {
@@ -734,23 +729,26 @@ impl RexEndpoint {
             let reply_body = match handler {
                 Some(h) => {
                     self.requests_executed.fetch_add(1, Ordering::Relaxed);
-                    h(RexRequest {
-                        from: job.from,
-                        iface: job.iface,
-                        op: job.op,
-                        body: job.body,
-                        announcement: job.announcement,
-                        trace: job.trace,
-                        priority: job.priority,
-                        deadline: job.deadline,
+                    // A panicking handler costs its call, not the worker:
+                    // the caller gets the handlerless empty reply, cached
+                    // like any other so a retransmission never re-runs it.
+                    std::panic::catch_unwind(AssertUnwindSafe(|| h(req))).unwrap_or_else(|_| {
+                        self.handler_panics.fetch_add(1, Ordering::Relaxed);
+                        odp_telemetry::hub().event(
+                            "rex.handler_panic",
+                            self.node.raw(),
+                            0,
+                            format!("handler panicked on call {call_id} from {from}"),
+                        );
+                        PooledBuf::default()
                     })
                 }
                 None => PooledBuf::default(),
             };
-            if job.announcement {
+            if announcement {
                 continue;
             }
-            let reply = encode_reply(job.call_id, &reply_body);
+            let reply = encode_reply(call_id, &reply_body);
             {
                 let mut server = self.server.lock();
                 server.executing.remove(&key);
@@ -764,7 +762,7 @@ impl RexEndpoint {
                 }
             }
             // odp-lint: allow(l6, reason = "reply delivery is best-effort; the caller's retransmit re-requests it from the cache")
-            let _ = self.transport.send_frame(self.node, job.from, &reply);
+            let _ = self.transport.send_frame(self.node, from, &reply);
         }
     }
 }
@@ -1111,6 +1109,55 @@ mod tests {
             .call(NodeId(2), InterfaceId(1), "x", b"", CallQos::default())
             .unwrap();
         assert!(reply.is_empty());
+    }
+
+    #[test]
+    fn panicking_handler_keeps_its_worker() {
+        let net = SimNet::perfect();
+        let t: Arc<dyn Transport> = Arc::new(net.clone());
+        let a = RexEndpoint::new(Arc::clone(&t), NodeId(1), 2).unwrap();
+        let b = RexEndpoint::new(t, NodeId(2), 1).unwrap();
+        let hits = Arc::new(AtomicU64::new(0));
+        let h = Arc::clone(&hits);
+        b.set_handler(Arc::new(move |req: RexRequest| {
+            h.fetch_add(1, Ordering::SeqCst);
+            assert_ne!(&req.body[..], b"boom", "handler bug");
+            PooledBuf::from_slice(&req.body)
+        }));
+        // Replies take longer than the retry interval, so the client
+        // retransmits before the first reply lands.
+        net.set_link(
+            NodeId(2),
+            NodeId(1),
+            LinkConfig::with_latency(Duration::from_millis(30)),
+        );
+        let qos = CallQos {
+            deadline: Duration::from_secs(5),
+            retry_interval: Duration::from_millis(5),
+            priority: CallPriority::Normal,
+        };
+        let start = Instant::now();
+        let reply = a
+            .call(NodeId(2), InterfaceId(1), "x", b"boom", qos)
+            .unwrap();
+        assert!(reply.is_empty(), "a panic is answered with an empty body");
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "reply was not prompt"
+        );
+        assert_eq!(b.handler_panics.load(Ordering::Relaxed), 1);
+        assert!(b.duplicates_suppressed.load(Ordering::Relaxed) >= 1);
+        assert_eq!(
+            hits.load(Ordering::SeqCst),
+            1,
+            "retransmission re-ran the handler"
+        );
+        // The endpoint's only worker survived and serves the next call.
+        let reply = a
+            .call(NodeId(2), InterfaceId(1), "x", b"fine", qos)
+            .unwrap();
+        assert_eq!(reply, Bytes::from_static(b"fine"));
+        assert_eq!(hits.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -203,7 +203,6 @@ fn guard_composes_with_other_layers() {
         ExportConfig {
             layers: vec![guard.clone() as Arc<dyn odp_core::ServerLayer>],
             discipline: odp_core::SyncDiscipline::Serialized,
-            check_args: true,
         },
     );
     let binding = world.capsule(1).bind_with(

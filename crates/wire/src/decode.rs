@@ -166,7 +166,7 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     /// [`DecodeError::LengthOverflow`] if the claim exceeds what remains.
-    pub fn len_prefix(&mut self) -> Result<usize, DecodeError> {
+    fn len_prefix(&mut self) -> Result<usize, DecodeError> {
         let n = self.varint()?;
         let n_usize = usize::try_from(n).map_err(|_| DecodeError::LengthOverflow(n))?;
         if n_usize > self.remaining() {
@@ -204,7 +204,7 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     /// Truncation, overflow or [`DecodeError::InvalidUtf8`].
-    pub fn string_value(&mut self) -> Result<WireStr, DecodeError> {
+    fn string_value(&mut self) -> Result<WireStr, DecodeError> {
         let n = self.len_prefix()?;
         let start = self.pos;
         let raw = self.take(n)?;
@@ -225,7 +225,7 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     /// Truncation or overflow.
-    pub fn bytes_value(&mut self) -> Result<bytes::Bytes, DecodeError> {
+    fn bytes_value(&mut self) -> Result<bytes::Bytes, DecodeError> {
         let n = self.len_prefix()?;
         let start = self.pos;
         let raw = self.take(n)?;
@@ -307,7 +307,7 @@ pub fn decode_value(c: &mut Cursor<'_>, depth: usize) -> Result<Value, DecodeErr
 /// # Errors
 ///
 /// Any [`DecodeError`].
-pub fn decode_interface_ref(c: &mut Cursor<'_>, depth: usize) -> Result<InterfaceRef, DecodeError> {
+fn decode_interface_ref(c: &mut Cursor<'_>, depth: usize) -> Result<InterfaceRef, DecodeError> {
     if depth >= MAX_DEPTH {
         return Err(DecodeError::TooDeep);
     }
@@ -428,7 +428,7 @@ fn decode_operation(c: &mut Cursor<'_>, depth: usize) -> Result<OperationSig, De
 /// # Errors
 ///
 /// Any [`DecodeError`].
-pub fn decode_type_spec(c: &mut Cursor<'_>, depth: usize) -> Result<TypeSpec, DecodeError> {
+fn decode_type_spec(c: &mut Cursor<'_>, depth: usize) -> Result<TypeSpec, DecodeError> {
     if depth >= MAX_DEPTH {
         return Err(DecodeError::TooDeep);
     }

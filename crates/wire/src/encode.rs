@@ -9,8 +9,11 @@
 //!
 //! Encoders write through the [`EncodeBuf`] sink so the same code fills a
 //! [`bytes::BytesMut`], a plain `Vec<u8>`, or a recycled
-//! [`crate::pool::PooledBuf`] from the encode-buffer pool; [`encoded_len`]
-//! is *exact*, so a pooled buffer sized by it never reallocates mid-encode.
+//! [`crate::pool::PooledBuf`] from the encode-buffer pool. Sizes come from
+//! the same code: [`ByteCount`] is a sink that only counts, so
+//! [`encoded_len`] runs [`encode_value`] into it and is *exact* by
+//! construction: a pooled buffer sized this way never reallocates
+//! mid-encode.
 
 use crate::ifref::InterfaceRef;
 use crate::value::Value;
@@ -73,6 +76,34 @@ impl EncodeBuf for Vec<u8> {
     }
 }
 
+/// A sink that stores nothing and counts the bytes pushed into it.
+///
+/// Running an encoder into a `ByteCount` yields that encoder's exact
+/// output length, so buffers are sized by the writer that fills them.
+/// The encoders are generic over the sink, so counting is monomorphized
+/// like any other encode: no dynamic dispatch per byte.
+#[derive(Debug)]
+pub struct ByteCount(usize);
+
+impl ByteCount {
+    /// The number of bytes `write` pushes into its sink.
+    #[must_use]
+    pub fn measure(write: impl FnOnce(&mut ByteCount)) -> usize {
+        let mut count = ByteCount(0);
+        write(&mut count);
+        count.0
+    }
+}
+
+impl EncodeBuf for ByteCount {
+    fn push_u8(&mut self, _b: u8) {
+        self.0 += 1;
+    }
+    fn push_slice(&mut self, s: &[u8]) {
+        self.0 += s.len();
+    }
+}
+
 /// Appends an unsigned LEB128 varint.
 pub fn put_varint<B: EncodeBuf + ?Sized>(buf: &mut B, mut v: u64) {
     loop {
@@ -86,15 +117,8 @@ pub fn put_varint<B: EncodeBuf + ?Sized>(buf: &mut B, mut v: u64) {
     }
 }
 
-/// Exact encoded size of an unsigned LEB128 varint.
-#[must_use]
-pub fn varint_len(v: u64) -> usize {
-    // 7 payload bits per byte; zero still takes one byte.
-    (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
-}
-
 /// Appends a zigzag-encoded signed varint.
-pub fn put_signed<B: EncodeBuf + ?Sized>(buf: &mut B, v: i64) {
+fn put_signed<B: EncodeBuf + ?Sized>(buf: &mut B, v: i64) {
     put_varint(buf, zigzag(v));
 }
 
@@ -117,12 +141,6 @@ pub fn put_str<B: EncodeBuf + ?Sized>(buf: &mut B, s: &str) {
     buf.push_slice(s.as_bytes());
 }
 
-/// Exact encoded size of [`put_str`]`(s)`.
-#[must_use]
-pub fn str_len(s: &str) -> usize {
-    varint_len(s.len() as u64) + s.len()
-}
-
 /// Writes a record header (tag byte + field count). The caller must follow
 /// with exactly `count` [`put_str`]`(name)` + [`encode_value`]`(value)`
 /// pairs; this lets hot paths stream a borrowed map straight into the sink
@@ -132,12 +150,6 @@ pub fn put_record_header<B: EncodeBuf + ?Sized>(buf: &mut B, count: usize) {
     put_varint(buf, count as u64);
 }
 
-/// Exact encoded size of [`put_record_header`]`(count)`.
-#[must_use]
-pub fn record_header_len(count: usize) -> usize {
-    1 + varint_len(count as u64)
-}
-
 /// Encodes a standalone string as a tagged `Str` value — the same bytes
 /// [`encode_value`] would emit for `Value::str(s)`, without constructing
 /// the intermediate [`Value`]. Hot encoders (outcome terminations, record
@@ -145,12 +157,6 @@ pub fn record_header_len(count: usize) -> usize {
 pub fn encode_str_value<B: EncodeBuf + ?Sized>(buf: &mut B, s: &str) {
     buf.push_u8(tag::STR);
     put_str(buf, s);
-}
-
-/// Exact encoded size of [`encode_str_value`]`(s)`.
-#[must_use]
-pub fn str_value_len(s: &str) -> usize {
-    1 + str_len(s)
 }
 
 /// Encodes one [`Value`] (tag + body) into `buf`.
@@ -198,7 +204,7 @@ pub fn encode_value<B: EncodeBuf + ?Sized>(buf: &mut B, value: &Value) {
 }
 
 /// Encodes an [`InterfaceRef`] body (no tag).
-pub fn encode_interface_ref<B: EncodeBuf + ?Sized>(buf: &mut B, r: &InterfaceRef) {
+fn encode_interface_ref<B: EncodeBuf + ?Sized>(buf: &mut B, r: &InterfaceRef) {
     put_varint(buf, r.iface.raw());
     put_varint(buf, r.home.raw());
     put_varint(buf, r.epoch);
@@ -223,22 +229,6 @@ pub fn encode_interface_ref<B: EncodeBuf + ?Sized>(buf: &mut B, r: &InterfaceRef
     encode_interface_type(buf, &r.ty);
 }
 
-/// Exact encoded size of [`encode_interface_ref`]`(r)`.
-#[must_use]
-pub fn interface_ref_len(r: &InterfaceRef) -> usize {
-    varint_len(r.iface.raw())
-        + varint_len(r.home.raw())
-        + varint_len(r.epoch)
-        + varint_len(r.protocols.len() as u64)
-        + r.protocols
-            .iter()
-            .map(|p| varint_len(p.raw()))
-            .sum::<usize>()
-        + r.relocator.map_or(1, |n| 1 + varint_len(n.raw()))
-        + r.group.map_or(1, |g| 1 + varint_len(g.raw()))
-        + interface_type_len(&r.ty)
-}
-
 /// Encodes an [`InterfaceType`] (operation list).
 pub fn encode_interface_type<B: EncodeBuf + ?Sized>(buf: &mut B, ty: &InterfaceType) {
     let ops = ty.operations();
@@ -246,13 +236,6 @@ pub fn encode_interface_type<B: EncodeBuf + ?Sized>(buf: &mut B, ty: &InterfaceT
     for op in ops {
         encode_operation(buf, op);
     }
-}
-
-/// Exact encoded size of [`encode_interface_type`]`(ty)`.
-#[must_use]
-pub fn interface_type_len(ty: &InterfaceType) -> usize {
-    let ops = ty.operations();
-    varint_len(ops.len() as u64) + ops.iter().map(operation_len).sum::<usize>()
 }
 
 fn encode_operation<B: EncodeBuf + ?Sized>(buf: &mut B, op: &OperationSig) {
@@ -271,15 +254,6 @@ fn encode_operation<B: EncodeBuf + ?Sized>(buf: &mut B, op: &OperationSig) {
     }
 }
 
-fn operation_len(op: &OperationSig) -> usize {
-    str_len(&op.name)
-        + 1
-        + varint_len(op.params.len() as u64)
-        + op.params.iter().map(type_spec_len).sum::<usize>()
-        + varint_len(op.outcomes.len() as u64)
-        + op.outcomes.iter().map(outcome_len).sum::<usize>()
-}
-
 fn encode_outcome<B: EncodeBuf + ?Sized>(buf: &mut B, o: &OutcomeSig) {
     put_str(buf, &o.name);
     put_varint(buf, o.results.len() as u64);
@@ -288,14 +262,8 @@ fn encode_outcome<B: EncodeBuf + ?Sized>(buf: &mut B, o: &OutcomeSig) {
     }
 }
 
-fn outcome_len(o: &OutcomeSig) -> usize {
-    str_len(&o.name)
-        + varint_len(o.results.len() as u64)
-        + o.results.iter().map(type_spec_len).sum::<usize>()
-}
-
 /// Encodes a [`TypeSpec`] (tag + body).
-pub fn encode_type_spec<B: EncodeBuf + ?Sized>(buf: &mut B, spec: &TypeSpec) {
+fn encode_type_spec<B: EncodeBuf + ?Sized>(buf: &mut B, spec: &TypeSpec) {
     match spec {
         TypeSpec::Unit => buf.push_u8(spec_tag::UNIT),
         TypeSpec::Bool => buf.push_u8(spec_tag::BOOL),
@@ -323,53 +291,13 @@ pub fn encode_type_spec<B: EncodeBuf + ?Sized>(buf: &mut B, spec: &TypeSpec) {
     }
 }
 
-/// Exact encoded size of [`encode_type_spec`]`(spec)`.
-#[must_use]
-pub fn type_spec_len(spec: &TypeSpec) -> usize {
-    match spec {
-        TypeSpec::Unit
-        | TypeSpec::Bool
-        | TypeSpec::Int
-        | TypeSpec::Float
-        | TypeSpec::Str
-        | TypeSpec::Bytes
-        | TypeSpec::Any => 1,
-        TypeSpec::Seq(elem) => 1 + type_spec_len(elem),
-        TypeSpec::Record(fields) => {
-            1 + varint_len(fields.len() as u64)
-                + fields
-                    .iter()
-                    .map(|(n, t)| str_len(n) + type_spec_len(t))
-                    .sum::<usize>()
-        }
-        TypeSpec::Interface(ty) => 1 + interface_type_len(ty),
-    }
-}
-
-/// Exact encoded size of a value (tag + body) — what [`encode_value`]
-/// will write, byte for byte. The encode-buffer pool sizes acquisitions
-/// with this, so a pooled encode never reallocates mid-write.
+/// Exact encoded size of a value (tag + body): [`encode_value`] run
+/// into a [`ByteCount`], so the size is the encoder's own output length.
+/// The encode-buffer pool sizes acquisitions with this, so a pooled
+/// encode never reallocates mid-write.
 #[must_use]
 pub fn encoded_len(value: &Value) -> usize {
-    match value {
-        Value::Unit => 1,
-        Value::Bool(_) => 2,
-        Value::Int(i) => 1 + varint_len(zigzag(*i)),
-        Value::Float(_) => 9,
-        Value::Str(s) => str_value_len(s.as_str()),
-        Value::Bytes(b) => 1 + varint_len(b.len() as u64) + b.len(),
-        Value::Seq(items) => {
-            1 + varint_len(items.len() as u64) + items.iter().map(encoded_len).sum::<usize>()
-        }
-        Value::Record(fields) => {
-            1 + varint_len(fields.len() as u64)
-                + fields
-                    .iter()
-                    .map(|(n, v)| str_len(n) + encoded_len(v))
-                    .sum::<usize>()
-        }
-        Value::Interface(r) => 1 + interface_ref_len(r),
-    }
+    ByteCount::measure(|count| encode_value(count, value))
 }
 
 #[cfg(test)]
@@ -386,7 +314,6 @@ mod tests {
                 assert_eq!(buf.len(), 1);
             }
             assert!(buf.len() <= 10);
-            assert_eq!(buf.len(), varint_len(v), "varint_len({v})");
         }
     }
 
@@ -449,7 +376,6 @@ mod tests {
         let mut direct = BytesMut::new();
         encode_str_value(&mut direct, "paper");
         assert_eq!(&via_value[..], &direct[..]);
-        assert_eq!(direct.len(), str_value_len("paper"));
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!   [`TypeSpec`](odp_types::TypeSpec)s, the dynamic half of the signature
 //!   type system.
 //! * [`pool`] — the encode-buffer pool behind the zero-copy hot path:
-//!   [`marshal_pooled`] writes into a recycled [`PooledBuf`] sized by the
-//!   exact [`encoded_len`] bound, and [`unmarshal_frame`] decodes string
+//!   [`marshal_pooled`] writes into a recycled [`PooledBuf`] sized by
+//!   running the same encoder into a [`ByteCount`] first (see
+//!   [`payload_len`]), and [`unmarshal_frame`] decodes string
 //!   and blob payloads as refcounted slices of the arrival frame
 //!   ([`value::WireStr`]) instead of copying.
 //!
@@ -47,7 +48,7 @@ pub mod typecheck;
 pub mod value;
 
 pub use decode::{decode_interface_type, decode_value, DecodeError};
-pub use encode::{encode_interface_type, encode_value, encoded_len, EncodeBuf};
+pub use encode::{encode_interface_type, encode_value, encoded_len, ByteCount, EncodeBuf};
 pub use ifref::InterfaceRef;
 pub use overload::CallPriority;
 pub use pool::PooledBuf;
@@ -59,16 +60,16 @@ pub use value::{Value, WireStr};
 pub const WIRE_VERSION: u8 = 1;
 
 /// Exact encoded size of a full invocation payload, including the
-/// version byte and count prefix. [`marshal`] and [`marshal_pooled`]
-/// size their buffers with this, so the steady-state encode path never
-/// reallocates.
+/// version byte and count prefix: the marshaller run into a
+/// [`ByteCount`]. [`marshal`] and [`marshal_pooled`] size their buffers
+/// with this, so the steady-state encode path never reallocates.
 #[must_use]
 pub fn payload_len(values: &[Value]) -> usize {
-    1 + encode::varint_len(values.len() as u64) + values.iter().map(encoded_len).sum::<usize>()
+    ByteCount::measure(|count| marshal_into(count, values))
 }
 
-/// Marshals an invocation payload into any [`EncodeBuf`] sink.
-pub fn marshal_into<B: EncodeBuf + ?Sized>(buf: &mut B, values: &[Value]) {
+/// Writes an invocation payload: version byte, value count, values.
+fn marshal_into<B: EncodeBuf + ?Sized>(buf: &mut B, values: &[Value]) {
     buf.push_u8(WIRE_VERSION);
     encode::put_varint(buf, values.len() as u64);
     for v in values {
@@ -86,8 +87,8 @@ pub fn marshal(values: &[Value]) -> bytes::Bytes {
 }
 
 /// Marshals an invocation payload into a recycled [`PooledBuf`] sized by
-/// the exact [`payload_len`] bound: the steady-state encode path costs
-/// zero heap allocations.
+/// [`payload_len`]: the steady-state encode path costs zero heap
+/// allocations.
 #[must_use]
 pub fn marshal_pooled(values: &[Value]) -> PooledBuf {
     let mut buf = PooledBuf::acquire(payload_len(values));

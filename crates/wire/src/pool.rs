@@ -4,15 +4,18 @@
 //! §4.5 of the paper demands that the engineering model make marshalled
 //! access cheap enough that transparency is affordable. A fresh heap
 //! allocation per invocation is the first thing to go: encoders acquire
-//! a [`PooledBuf`] sized by the *exact* [`crate::encoded_len`] bound,
-//! fill it, hand it to the transport, and drop it — the drop returns the
-//! capacity to the pool, so a steady-state caller allocates nothing.
+//! a [`PooledBuf`] of the *exact* size the payload needs, fill it, hand
+//! it to the transport, and drop it — the drop returns the capacity to
+//! the pool, so a steady-state caller allocates nothing. The size comes
+//! from running the same encoder into a [`crate::ByteCount`] first
+//! ([`crate::encoded_len`], [`crate::payload_len`]), so it cannot drift
+//! from the bytes written.
 //!
 //! Structure: a small thread-local stack (lock-free fast path for the
 //! common acquire/release on one thread) over a bounded global free list
 //! (`Mutex`, taken only when the local stack under- or overflows — e.g.
 //! when transport writer threads release buffers acquired by caller
-//! threads). Buffers above [`MAX_RETAINED_CAPACITY`] are never retained,
+//! threads). Buffers above `MAX_RETAINED_CAPACITY` (256 KiB) are never retained,
 //! so one jumbo payload cannot pin its capacity forever. Pool traffic is
 //! counted in [`odp_telemetry::WireStats`]: an acquisition served with
 //! sufficient capacity is a *hit* (no heap allocation), everything else
@@ -118,13 +121,6 @@ impl PooledBuf {
     pub fn freeze(mut self) -> bytes::Bytes {
         bytes::Bytes::from(std::mem::take(&mut self.vec))
     }
-
-    /// Copy the contents into a detached [`bytes::Bytes`], keeping the
-    /// buffer (and its pooled capacity) intact.
-    #[must_use]
-    pub fn to_shared(&self) -> bytes::Bytes {
-        bytes::Bytes::copy_from_slice(&self.vec)
-    }
 }
 
 impl Drop for PooledBuf {
@@ -220,13 +216,5 @@ mod tests {
         buf.extend_from_slice(b" world");
         let bytes = buf.freeze();
         assert_eq!(&bytes[..], b"hello world");
-    }
-
-    #[test]
-    fn to_shared_keeps_the_buffer() {
-        let buf = PooledBuf::from_slice(b"keep me");
-        let shared = buf.to_shared();
-        assert_eq!(&shared[..], b"keep me");
-        assert_eq!(&buf[..], b"keep me");
     }
 }

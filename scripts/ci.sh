@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The tier-1 gate, plus lint hygiene and the telemetry propagation suite.
+# The tier-1 gate, plus lint and doc-link hygiene and the telemetry
+# propagation suite.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -10,6 +11,9 @@ cargo fmt --check
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== doc (deny warnings: no dangling intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== odp-lint (ratchet) =="
 cargo run -q -p odp-lint --bin odp-lint -- --ratchet lint-ratchet.json
