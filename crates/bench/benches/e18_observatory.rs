@@ -21,12 +21,11 @@
 //!   3. `remote_counters_recorder_on` — counters mode (no spans: the
 //!      recorder is never consulted, so this must match E16 counters)
 //!   4. `render_prometheus`           — cost of one full exposition
-//!   5. `render_json`                 — same registry as JSON
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use odp::prelude::*;
 use odp::telemetry::recorder::RECORDER_CAP;
-use odp::telemetry::{hub, render_json, render_prometheus, ExpositionData, Sampling};
+use odp::telemetry::{hub, render_prometheus, ExpositionData, Sampling};
 use odp_bench::counter;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -106,9 +105,6 @@ fn observatory_overhead(c: &mut Criterion) {
     // is the scrape-time price, paid by the reader, never the hot path.
     group.bench_function("render_prometheus", |b| {
         b.iter(|| black_box(render_prometheus(&ExpositionData::gather())));
-    });
-    group.bench_function("render_json", |b| {
-        b.iter(|| black_box(render_json(&ExpositionData::gather())));
     });
 
     let stats = hub().recorder().stats();

@@ -40,6 +40,7 @@ use odp_core::{
 };
 use odp_net::{CallQos, NetFault};
 use odp_storage::{recover, CheckpointPolicy, LoggingLayer, StableRepository, WriteAheadLog};
+use odp_telemetry::Sampling;
 use odp_types::NodeId;
 use odp_wire::{InterfaceRef, Value};
 use parking_lot::Mutex;
@@ -138,6 +139,42 @@ pub struct ChaosReport {
     pub recorder_dump: Vec<String>,
 }
 
+/// Chaos runs in flight, and the (recording, sampling) the first one found.
+static HELD: Mutex<(usize, bool, Sampling)> = Mutex::new((0, false, Sampling::Off));
+
+/// Holds process-wide recording on for one run. Chaos runs always record:
+/// schedule events land in the same timeline as invocation spans, so an
+/// invariant violation can be diagnosed from one causally-ordered trace.
+/// Sampling one call in eight keeps span volume bounded under the client
+/// hammering. When the last run in flight drops its hold — on any exit
+/// path — both switches go back to what the first run found.
+struct RecordingHold;
+
+impl RecordingHold {
+    fn take() -> RecordingHold {
+        let hub = odp_telemetry::hub();
+        let mut held = HELD.lock();
+        if held.0 == 0 {
+            *held = (0, hub.recording(), hub.sampling());
+        }
+        held.0 += 1;
+        hub.set_recording(true);
+        hub.set_sampling(Sampling::OneIn(8));
+        RecordingHold
+    }
+}
+
+impl Drop for RecordingHold {
+    fn drop(&mut self) {
+        let mut held = HELD.lock();
+        held.0 -= 1;
+        if held.0 == 0 {
+            odp_telemetry::hub().set_recording(held.1);
+            odp_telemetry::hub().set_sampling(held.2);
+        }
+    }
+}
+
 /// One restartable node: the slot survives the capsule.
 struct Slot {
     node: NodeId,
@@ -165,13 +202,6 @@ struct Harness {
 
 impl Harness {
     fn new(config: &ChaosConfig) -> Result<Self, String> {
-        // Chaos runs always record: schedule events land in the same
-        // timeline as invocation spans, so an invariant violation can be
-        // diagnosed from one causally-ordered trace. Sampling one call in
-        // eight keeps span volume bounded under the client hammering.
-        let hub = odp_telemetry::hub();
-        hub.set_recording(true);
-        hub.set_sampling(odp_telemetry::Sampling::OneIn(8));
         let topo = Topology::standard();
         let world = World::builder()
             .capsules(0)
@@ -350,7 +380,8 @@ impl Harness {
 
 /// Replays `config.schedule` while `config.clients` client threads hammer
 /// the ledger, then heals everything, probes the survivor and sweeps the
-/// invariants.
+/// invariants. Telemetry records for the run (one call in eight sampled);
+/// both switches are restored afterwards, also when the run fails.
 ///
 /// # Errors
 ///
@@ -358,6 +389,7 @@ impl Harness {
 /// applied (both indicate a bug in the harness, not an invariant
 /// violation — violations are reported in [`ChaosReport::invariants`]).
 pub fn run(config: &ChaosConfig) -> Result<ChaosReport, String> {
+    let _recording = RecordingHold::take();
     let mut harness = Harness::new(config)?;
     let client_capsule = Arc::clone(&harness.client);
     let target = harness.ledger_ref.clone();

@@ -25,7 +25,7 @@
 //!   exported interfaces can be dispatched fully concurrently or serialized.
 
 use crate::invocation::{
-    AccessLayer, CallRequest, ClientBinding, InvokeError, ServerLayer, ServerNext,
+    AccessLayer, CallRequest, ClientBinding, InvokeError, Join, ServerLayer, ServerNext, Site,
 };
 use crate::object::{self, terminations, CallCtx, Outcome, Servant};
 use crate::transparency::TransparencyPolicy;
@@ -107,9 +107,9 @@ pub struct Capsule {
     crashed: AtomicBool,
     /// Statistics.
     pub stats: CapsuleStats,
-    /// Telemetry cell for the `"dispatch"` layer on this node, resolved
+    /// Telemetry site for the `"dispatch"` layer on this node, resolved
     /// once at capsule creation.
-    dispatch_metrics: Arc<odp_telemetry::LayerMetrics>,
+    dispatch_site: Site,
 }
 
 impl Capsule {
@@ -142,9 +142,7 @@ impl Capsule {
             relocator: RwLock::new(None),
             crashed: AtomicBool::new(false),
             stats: CapsuleStats::default(),
-            dispatch_metrics: odp_telemetry::hub()
-                .metrics()
-                .register(node.raw(), "dispatch"),
+            dispatch_site: Site::new(node.raw(), "dispatch"),
         });
         let weak = Arc::downgrade(&capsule);
         capsule
@@ -469,43 +467,13 @@ impl Capsule {
         object::encode_outcome_pooled(&outcome)
     }
 
+    /// Dispatches inside this node's `"dispatch"` scope, so nested
+    /// invocations made by the servant or server layers join the trace.
     fn dispatch_entry(&self, ctx: &mut CallCtx, op: &str, args: Vec<Value>) -> Outcome {
-        let hub = odp_telemetry::hub();
-        if !hub.recording() {
-            return self.dispatch_inner(ctx, op, args);
-        }
-        if !ctx.trace.is_sampled() {
-            let outcome = self.dispatch_inner(ctx, op, args);
-            self.dispatch_metrics.count(outcome.is_engineering());
-            return outcome;
-        }
-        // Sampled: the nucleus dispatch gets its own span, and becomes the
-        // current trace so nested invocations made by the servant (or by
-        // server layers) stay causally linked to this call.
-        let span_ctx = hub.child_of(ctx.trace);
-        ctx.trace = span_ctx;
-        let _current = odp_telemetry::set_current(span_ctx);
-        let start = hub.now_ns();
-        let outcome = self.dispatch_inner(ctx, op, args);
-        let end = hub.now_ns();
-        self.dispatch_metrics.record_call_exemplar(
-            end.saturating_sub(start),
-            outcome.is_engineering(),
-            span_ctx.trace_id,
-            self.node.raw(),
-        );
-        hub.record_span(odp_telemetry::SpanRecord {
-            trace_id: span_ctx.trace_id,
-            span_id: span_ctx.span_id,
-            parent_span: span_ctx.parent_span,
-            node: self.node.raw(),
-            layer: "dispatch",
-            op: Some(op.to_owned()),
-            start_ns: start,
-            end_ns: end,
-            termination: outcome.termination.clone(),
-        });
-        outcome
+        self.dispatch_site
+            .scope(Join::Dispatch, (ctx, op, args), |(ctx, op, args)| {
+                self.dispatch_inner(ctx, op, args)
+            })
     }
 
     fn dispatch_inner(&self, ctx: &mut CallCtx, op: &str, args: Vec<Value>) -> Outcome {

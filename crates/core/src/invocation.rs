@@ -331,57 +331,129 @@ impl fmt::Debug for AccessLayer {
     }
 }
 
-/// Renders an invocation result as a span termination string.
-fn termination_of(result: &Result<Outcome, InvokeError>) -> String {
-    match result {
-        Ok(outcome) => outcome.termination.clone(),
-        Err(e) => format!("error: {e}"),
+/// How a telemetry scope joins its trace.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Join {
+    /// The stub: begins a trace, or continues the thread's current one.
+    Root,
+    /// A client layer: a child span of the request's trace.
+    Layer,
+    /// A dispatch: a child span of the caller's trace.
+    Dispatch,
+}
+
+/// What a scope instruments: a call carrying a trace context and an op.
+pub(crate) trait Traced {
+    fn trace(&mut self) -> &mut TraceContext;
+    fn op(&self) -> &str;
+}
+
+impl Traced for CallRequest {
+    fn trace(&mut self) -> &mut TraceContext {
+        &mut self.trace
+    }
+    fn op(&self) -> &str {
+        &self.op
     }
 }
 
-struct StackNext<'a> {
-    layers: &'a [Arc<dyn ClientLayer>],
-    /// Metric cells parallel to `layers` (resolved once at bind time).
-    metrics: &'a [Arc<LayerMetrics>],
-    access: &'a AccessLayer,
-    access_metrics: &'a Arc<LayerMetrics>,
-    /// Raw node id the binding lives on, stamped into spans.
-    node: u64,
+/// A dispatch: the server-side call context, operation and arguments.
+impl Traced for (&mut CallCtx, &str, Vec<Value>) {
+    fn trace(&mut self) -> &mut TraceContext {
+        &mut self.0.trace
+    }
+    fn op(&self) -> &str {
+        self.1
+    }
 }
 
-impl StackNext<'_> {
-    /// Runs `body` with the telemetry treatment the current mode calls
-    /// for: nothing when recording is off, counter increments when the
-    /// trace is unsampled, and a full timed span (with the request's
+/// How a scope reads the end of the call it instrumented.
+pub(crate) trait Finished {
+    fn failed(&self) -> bool;
+    fn termination(&self) -> String;
+}
+
+impl Finished for Result<Outcome, InvokeError> {
+    fn failed(&self) -> bool {
+        self.is_err()
+    }
+    fn termination(&self) -> String {
+        match self {
+            Ok(outcome) => outcome.termination.clone(),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+}
+
+impl Finished for Outcome {
+    fn failed(&self) -> bool {
+        self.is_engineering()
+    }
+    fn termination(&self) -> String {
+        self.termination.clone()
+    }
+}
+
+/// One instrumented point of the access path — the stub, a client layer,
+/// the access layer or a capsule's dispatcher — with its span name, node
+/// and metric cell, resolved once when the binding or capsule is built.
+pub(crate) struct Site {
+    layer: &'static str,
+    node: u64,
+    metric: Arc<LayerMetrics>,
+}
+
+impl Site {
+    pub(crate) fn new(node: u64, layer: &'static str) -> Site {
+        Site {
+            layer,
+            node,
+            metric: odp_telemetry::hub().metrics().register(node, layer),
+        }
+    }
+
+    /// Runs `body` on `call` with the telemetry treatment the current
+    /// mode calls for: nothing when recording is off, a counter increment
+    /// when the trace is unsampled, and a timed span (with the call's
     /// trace context rewritten to a fresh child) when it is sampled.
-    fn instrumented(
+    ///
+    /// The stub and a dispatch install their trace as the thread's
+    /// current one even when it is unsampled, so nested invocations join
+    /// it rather than draw their own sampling decision: a whole tree is
+    /// recorded or none of it is.
+    pub(crate) fn scope<C: Traced, R: Finished>(
         &self,
-        mut req: CallRequest,
-        layer: &'static str,
-        metric: &Arc<LayerMetrics>,
-        body: impl FnOnce(CallRequest) -> Result<Outcome, InvokeError>,
-    ) -> Result<Outcome, InvokeError> {
+        join: Join,
+        mut call: C,
+        body: impl FnOnce(C) -> R,
+    ) -> R {
         let hub = odp_telemetry::hub();
         if !hub.recording() {
-            return body(req);
+            return body(call);
         }
-        if !req.trace.is_sampled() {
-            let result = body(req);
-            metric.count(result.is_err());
+        let parent = *call.trace();
+        let ctx = match join {
+            Join::Root => hub.begin_trace(odp_telemetry::current()),
+            Join::Layer | Join::Dispatch if parent.is_sampled() => hub.child_of(parent),
+            Join::Layer | Join::Dispatch => parent,
+        };
+        *call.trace() = ctx;
+        // Nested invocations issued inside the body (relocator lookups,
+        // group member calls, servant code) parent to this scope.
+        let _current =
+            (ctx.is_sampled() || join != Join::Layer).then(|| odp_telemetry::set_current(ctx));
+        if !ctx.is_sampled() {
+            let result = body(call);
+            self.metric.count(result.failed());
             return result;
         }
-        let ctx = hub.child_of(req.trace);
-        req.trace = ctx;
-        let op = req.op.clone();
-        // Parent any nested invocations issued from inside the layer
-        // (relocator lookups, group member calls) to this span.
-        let _current = odp_telemetry::set_current(ctx);
+        let op = call.op().to_owned();
         let start = hub.now_ns();
-        let result = body(req);
+        let result = body(call);
         let end = hub.now_ns();
-        metric.record_call_exemplar(
+        self.metric.record_call_exemplar(
             end.saturating_sub(start),
-            result.is_err(),
+            result.failed(),
             ctx.trace_id,
             self.node,
         );
@@ -390,39 +462,36 @@ impl StackNext<'_> {
             span_id: ctx.span_id,
             parent_span: ctx.parent_span,
             node: self.node,
-            layer,
+            layer: self.layer,
             op: Some(op),
             start_ns: start,
             end_ns: end,
-            termination: termination_of(&result),
+            termination: result.termination(),
         });
         result
     }
 }
 
+/// The rest of a binding's stack: the layers still to run, then access.
+struct StackNext<'a> {
+    layers: &'a [(Site, Arc<dyn ClientLayer>)],
+    binding: &'a ClientBinding,
+}
+
 impl ClientNext for StackNext<'_> {
     fn invoke(&self, req: CallRequest) -> Result<Outcome, InvokeError> {
         match self.layers.split_first() {
-            Some((layer, rest)) => {
-                // `metrics` is built parallel to `layers` at assemble time;
-                // the defensive split keeps a mismatch from ever skipping a
-                // layer.
-                let (metric, rest_metrics) = match self.metrics.split_first() {
-                    Some((m, r)) => (m, r),
-                    None => (self.access_metrics, self.metrics),
-                };
+            Some(((site, layer), rest)) => {
                 let next = StackNext {
                     layers: rest,
-                    metrics: rest_metrics,
-                    access: self.access,
-                    access_metrics: self.access_metrics,
-                    node: self.node,
+                    binding: self.binding,
                 };
-                self.instrumented(req, layer.name(), metric, |req| layer.invoke(req, &next))
+                site.scope(Join::Layer, req, |req| layer.invoke(req, &next))
             }
-            None => self.instrumented(req, "access", self.access_metrics, |req| {
-                self.access.invoke_base(req)
-            }),
+            None => {
+                let (site, access) = &self.binding.access;
+                site.scope(Join::Layer, req, |req| access.invoke_base(req))
+            }
         }
     }
 }
@@ -435,16 +504,12 @@ impl ClientNext for StackNext<'_> {
 /// transparently follow.
 pub struct ClientBinding {
     target: Arc<RwLock<InterfaceRef>>,
-    layers: Vec<Arc<dyn ClientLayer>>,
-    access: AccessLayer,
+    /// The layers, then the access layer, each paired with its telemetry
+    /// site at assemble time.
+    layers: Vec<(Site, Arc<dyn ClientLayer>)>,
+    access: (Site, AccessLayer),
+    stub_site: Site,
     default_qos: CallQos,
-    /// Metric cells parallel to `layers`, resolved once here so the hot
-    /// path never touches the registry.
-    layer_metrics: Vec<Arc<LayerMetrics>>,
-    access_metrics: Arc<LayerMetrics>,
-    stub_metrics: Arc<LayerMetrics>,
-    /// Raw node id of the capsule the binding was assembled on.
-    node: u64,
 }
 
 impl ClientBinding {
@@ -461,72 +526,28 @@ impl ClientBinding {
             .upgrade()
             .map(|c| c.node().raw())
             .unwrap_or(0);
-        let registry = odp_telemetry::hub().metrics();
-        let layer_metrics = layers
-            .iter()
-            .map(|l| registry.register(node, l.name()))
-            .collect();
         Self {
             target,
-            layers,
-            access,
+            layers: layers
+                .into_iter()
+                .map(|l| (Site::new(node, l.name()), l))
+                .collect(),
+            access: (Site::new(node, "access"), access),
+            stub_site: Site::new(node, "client"),
             default_qos,
-            layer_metrics,
-            access_metrics: registry.register(node, "access"),
-            stub_metrics: registry.register(node, "client"),
-            node,
         }
     }
 
-    fn stack(&self) -> StackNext<'_> {
-        StackNext {
+    /// Runs one stub-level invocation inside the root `"client"` scope:
+    /// the trace current on this thread (if any) is continued, so nested
+    /// invocations stay connected.
+    fn invoke_traced(&self, req: CallRequest) -> Result<Outcome, InvokeError> {
+        let stack = StackNext {
             layers: &self.layers,
-            metrics: &self.layer_metrics,
-            access: &self.access,
-            access_metrics: &self.access_metrics,
-            node: self.node,
-        }
-    }
-
-    /// Runs one stub-level invocation with telemetry: stamps the trace
-    /// context (inheriting any trace current on this thread, so nested
-    /// invocations stay connected), records the root `"client"` span on
-    /// sampled traces, and counts every call when recording is on.
-    fn invoke_traced(&self, mut req: CallRequest) -> Result<Outcome, InvokeError> {
-        let hub = odp_telemetry::hub();
-        if !hub.recording() {
-            return self.stack().invoke(req);
-        }
-        let ctx = hub.begin_trace(odp_telemetry::current());
-        req.trace = ctx;
-        if !ctx.is_sampled() {
-            let result = self.stack().invoke(req);
-            self.stub_metrics.count(result.is_err());
-            return result;
-        }
-        let op = req.op.clone();
-        let _current = odp_telemetry::set_current(ctx);
-        let start = hub.now_ns();
-        let result = self.stack().invoke(req);
-        let end = hub.now_ns();
-        self.stub_metrics.record_call_exemplar(
-            end.saturating_sub(start),
-            result.is_err(),
-            ctx.trace_id,
-            self.node,
-        );
-        hub.record_span(SpanRecord {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            parent_span: ctx.parent_span,
-            node: self.node,
-            layer: "client",
-            op: Some(op),
-            start_ns: start,
-            end_ns: end,
-            termination: termination_of(&result),
-        });
-        result
+            binding: self,
+        };
+        self.stub_site
+            .scope(Join::Root, req, |req| stack.invoke(req))
     }
 
     /// The current (possibly relocated) target reference.
@@ -644,7 +665,7 @@ impl ClientBinding {
 
 impl fmt::Debug for ClientBinding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: Vec<_> = self.layers.iter().map(|l| l.name()).collect();
+        let names: Vec<_> = self.layers.iter().map(|(_, l)| l.name()).collect();
         f.debug_struct("ClientBinding")
             .field("target", &*self.target.read())
             .field("layers", &names)

@@ -95,16 +95,6 @@ pub fn telemetry_interface_type() -> InterfaceType {
             vec![OutcomeSig::ok(vec![TypeSpec::Str])],
         )
         .interrogation(
-            "export_json",
-            vec![],
-            vec![OutcomeSig::ok(vec![TypeSpec::Str])],
-        )
-        .interrogation(
-            "recorder",
-            vec![TypeSpec::Int],
-            vec![OutcomeSig::ok(vec![TypeSpec::seq(TypeSpec::Str)])],
-        )
-        .interrogation(
             "recorder_dump",
             vec![],
             vec![
@@ -170,8 +160,8 @@ impl Servant for TelemetryServant {
                     })
                     .collect(),
             )]),
-            // The timeline is the flight recorder's ring: one view, two names.
-            "timeline" | "recorder" => {
+            // The timeline is the flight recorder's ring.
+            "timeline" => {
                 let limit = args
                     .first()
                     .and_then(Value::as_int)
@@ -204,10 +194,6 @@ impl Servant for TelemetryServant {
             "export_text" => {
                 let data = odp_telemetry::ExpositionData::gather();
                 Outcome::ok(vec![Value::str(odp_telemetry::render_prometheus(&data))])
-            }
-            "export_json" => {
-                let data = odp_telemetry::ExpositionData::gather();
-                Outcome::ok(vec![Value::str(odp_telemetry::render_json(&data))])
             }
             "recorder_dump" => match hub.recorder().last_dump() {
                 Some(dump) => Outcome::ok(vec![
@@ -404,17 +390,22 @@ mod tests {
             text.contains("odp_layer_latency_ns_bucket{node=\"424242\",layer=\"observatory.test\"")
         );
 
-        let out = binding.interrogate("export_json", vec![]).unwrap();
-        let json = out.result().unwrap().as_str().unwrap().to_string();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"metrics\""));
+        // Text is the one exposition format, and the flight recorder's
+        // tail is `timeline`: neither has a second name.
+        for gone in ["export_json", "recorder"] {
+            let err = binding.interrogate(gone, vec![]).unwrap_err();
+            assert!(
+                matches!(err, crate::InvokeError::NoSuchOperation(_)),
+                "{gone}: {err:?}"
+            );
+        }
 
         // The flight recorder is reachable: its live tail renders, and a
         // trigger's dump is served. Other tests in this binary trigger the
         // process-global recorder too, so re-trigger until the served
         // dump is this test's own.
         let out = binding
-            .interrogate("recorder", vec![Value::Int(10)])
+            .interrogate("timeline", vec![Value::Int(10)])
             .unwrap();
         assert!(out.is_ok());
 

@@ -25,9 +25,9 @@
 //!   service constraints must be specified (either explicitly or by
 //!   default)".
 //! * [`scrape`] — [`ScrapeServer`]: a tiny read-only HTTP/1.0 listener
-//!   serving the Observatory exposition (`/metrics`, `/metrics.json`,
-//!   `/recorder`, `/trace/<id>`) to non-ODP clients such as Prometheus
-//!   and `odp-top`.
+//!   serving the Observatory's Prometheus text exposition (`/metrics`),
+//!   the flight recorder (`/recorder`, `/recorder/dump`) and trace trees
+//!   (`/trace/<id>`) to non-ODP clients such as Prometheus and `odp-top`.
 //!
 //! The crate deliberately knows nothing about values, signatures or
 //! transparencies: payloads are opaque [`bytes::Bytes`].

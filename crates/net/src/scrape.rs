@@ -14,12 +14,11 @@
 //! | path            | body                                          |
 //! |-----------------|-----------------------------------------------|
 //! | `/metrics`      | Prometheus text exposition (with exemplars)   |
-//! | `/metrics.json` | the same registry as a JSON document          |
 //! | `/recorder`     | flight-recorder tail (newest entries last)    |
 //! | `/recorder/dump`| last incident dump, if a trigger has fired    |
 //! | `/trace/<id>`   | rendered span tree for one trace id           |
 
-use odp_telemetry::{hub, render_json, render_prometheus, ExpositionData};
+use odp_telemetry::{hub, render_prometheus, ExpositionData};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -173,10 +172,6 @@ fn route(stream: &mut TcpStream, path: &str) {
             let body = render_prometheus(&ExpositionData::gather());
             respond(stream, 200, "text/plain; version=0.0.4", &body);
         }
-        "/metrics.json" => {
-            let body = render_json(&ExpositionData::gather());
-            respond(stream, 200, "application/json", &body);
-        }
         "/recorder" => {
             let mut body = hub().render_timeline(RECORDER_TAIL).join("\n");
             body.push('\n');
@@ -282,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn scrape_endpoint_serves_text_json_and_recorder() {
+    fn scrape_endpoint_serves_text_and_recorder() {
         let server = ScrapeServer::bind("127.0.0.1:0").unwrap();
         let addr = server.addr();
 
@@ -293,9 +288,9 @@ mod tests {
             "{body}"
         );
 
-        let (status, body) = get(addr, "/metrics.json");
-        assert_eq!(status, 200);
-        assert!(body.trim_end().starts_with('{') && body.trim_end().ends_with('}'));
+        // Text is the one exposition format: there is no JSON route.
+        let (status, _) = get(addr, "/metrics.json");
+        assert_eq!(status, 404);
 
         let (status, _) = get(addr, "/recorder");
         assert_eq!(status, 200);

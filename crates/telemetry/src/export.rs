@@ -1,12 +1,13 @@
 //! Metrics exposition: the full registry — layer cells, log₂ histograms,
 //! queue gauges, wire hot-path counters, flight-recorder state — rendered
-//! as Prometheus-style text and as JSON.
+//! as Prometheus-style text, the one exposition format.
 //!
 //! Rendering is a pure function of an [`ExpositionData`] snapshot so the
 //! output is deterministic and pinnable (`exposition_snapshot` test);
 //! [`ExpositionData::gather`] takes the snapshot from the process-global
-//! hub. Consumers: the `TelemetryServant` `export_text`/`export_json`
-//! operations, the `odp-net` scrape listener, and `odp-top`.
+//! hub. Consumers: the `TelemetryServant` `export_text` operation, the
+//! `odp-net` scrape listener's `/metrics` route, and `odp-top` (which
+//! scrapes it).
 //!
 //! Histogram buckets carry **exemplars**: each non-empty bucket's line
 //! ends with the OpenMetrics-style `# {trace_id="…",node="…"} value`
@@ -271,112 +272,6 @@ pub fn render_prometheus(data: &ExpositionData) -> String {
     out
 }
 
-/// Escape a string for a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render the exposition as a JSON object (`metrics`, `queues`, `wire`,
-/// `recorder`), with per-bucket counts and exemplars under each metric.
-#[must_use]
-pub fn render_json(data: &ExpositionData) -> String {
-    let mut out = String::from("{\"metrics\":[");
-    for (i, m) in data.metrics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"node\":{},\"layer\":\"{}\",\"calls\":{},\"failures\":{},\"samples\":{},\
-             \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"buckets\":[",
-            m.node,
-            json_escape(m.layer),
-            m.calls,
-            m.failures,
-            m.samples,
-            m.p50_ns,
-            m.p95_ns,
-            m.p99_ns
-        );
-        let mut first = true;
-        for b in 0..BUCKETS {
-            if m.buckets[b] == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"le_ns\":{},\"count\":{}",
-                bucket_le(b),
-                m.buckets[b]
-            );
-            let ex = m.exemplars[b];
-            if ex.trace_id != 0 {
-                let _ = write!(
-                    out,
-                    ",\"exemplar\":{{\"trace_id\":{},\"node\":{}}}",
-                    ex.trace_id, ex.node
-                );
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"queues\":[");
-    for (i, q) in data.queues.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"node\":{},\"queue\":\"{}\",\"depth\":{},\"high_water\":{},\
-             \"enqueued\":{},\"dropped\":{}}}",
-            q.node,
-            json_escape(q.queue),
-            q.depth,
-            q.high_water,
-            q.enqueued,
-            q.dropped
-        );
-    }
-    let w = &data.wire;
-    let _ = write!(
-        out,
-        "],\"wire\":{{\"pool_hits\":{},\"pool_misses\":{},\"decode_borrowed_bytes\":{},\
-         \"decode_copied_bytes\":{},\"tx_frames\":{},\"tx_batches\":{}}}",
-        w.pool_hits,
-        w.pool_misses,
-        w.decode_borrowed_bytes,
-        w.decode_copied_bytes,
-        w.tx_frames,
-        w.tx_batches
-    );
-    let r = &data.recorder;
-    let _ = write!(
-        out,
-        ",\"recorder\":{{\"entries\":{},\"appended\":{},\"evicted\":{},\"triggers\":{}}}}}",
-        r.entries, r.appended, r.evicted, r.triggers
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,24 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn json_is_structurally_sound() {
-        let json = render_json(&sample_data());
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in:\n{json}"
-        );
-        assert!(json.contains("\"layer\":\"client\""));
-        assert!(json.contains("\"exemplar\":{\"trace_id\":42,\"node\":1}"));
-        assert!(json.contains("\"queue\":\"admission.normal\""));
-        assert!(json.contains("\"pool_hits\":10"));
-        assert!(json.contains("\"triggers\":0}"));
-    }
-
-    #[test]
     fn escapes_are_applied() {
         assert_eq!(label_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("a\"b\nc"), "a\\\"b\\nc");
     }
 }

@@ -6,7 +6,8 @@
 //! - recording **off**: every instrumentation site is a single relaxed
 //!   atomic load that fails — effectively free;
 //! - recording **on, call unsampled**: per-layer counter increments
-//!   only (relaxed `fetch_add`), no timestamps, no locks;
+//!   (relaxed `fetch_add`) and a thread-local trace install; no clocks,
+//!   no locks;
 //! - recording **on, call sampled**: full span records with start/end
 //!   timestamps, each moved into the recorder's bounded ring with one
 //!   (short, uncontended) mutex push — the only path that takes a lock.
@@ -125,6 +126,16 @@ impl TelemetryHub {
         self.sampling.store(raw, Ordering::Relaxed);
     }
 
+    /// The span-sampling policy in force (`OneIn(0)` and `OneIn(1)` read
+    /// back as `All`).
+    pub fn sampling(&self) -> Sampling {
+        match self.sampling.load(Ordering::Relaxed) {
+            0 => Sampling::Off,
+            1 => Sampling::All,
+            n => Sampling::OneIn(n),
+        }
+    }
+
     /// Nanoseconds since the hub epoch (monotonic).
     #[inline]
     pub fn now_ns(&self) -> u64 {
@@ -141,12 +152,7 @@ impl TelemetryHub {
     /// the sampling policy decides whether the trace records spans.
     pub fn begin_trace(&self, parent: TraceContext) -> TraceContext {
         if !parent.is_none() {
-            return TraceContext {
-                trace_id: parent.trace_id,
-                span_id: self.fresh_span(),
-                parent_span: parent.span_id,
-                flags: parent.flags,
-            };
+            return self.child_of(parent);
         }
         let sampling = self.sampling.load(Ordering::Relaxed);
         let sampled = match sampling {
@@ -166,7 +172,7 @@ impl TelemetryHub {
     }
 
     /// Derive a child context nested under `parent` (same trace, fresh
-    /// span id). Callers only do this on sampled traces.
+    /// span id, same sampling bit).
     pub fn child_of(&self, parent: TraceContext) -> TraceContext {
         TraceContext {
             trace_id: parent.trace_id,
@@ -303,8 +309,10 @@ mod tests {
     fn sampling_modes() {
         let h = hub();
         h.set_sampling(Sampling::Off);
+        assert_eq!(h.sampling(), Sampling::Off);
         assert!(!h.begin_trace(TraceContext::NONE).is_sampled());
         h.set_sampling(Sampling::All);
+        assert_eq!(h.sampling(), Sampling::All);
         assert!(h.begin_trace(TraceContext::NONE).is_sampled());
         // One in 1 (and the degenerate one in 0) sample every trace.
         for n in [1, 0] {
@@ -314,6 +322,7 @@ mod tests {
             }
         }
         h.set_sampling(Sampling::OneIn(1_000_000));
+        assert_eq!(h.sampling(), Sampling::OneIn(1_000_000));
         // Child of a sampled parent stays sampled regardless of policy.
         let parent = TraceContext {
             trace_id: 9,

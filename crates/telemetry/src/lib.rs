@@ -24,8 +24,9 @@
 //!    optimizations of §4.5 are observable (and assertable in tests).
 //! 5. [`export`]: the Observatory exposition — the full registry (layer
 //!    cells with exemplar-linked log₂ histograms, queue gauges, wire
-//!    stats, recorder state) rendered as Prometheus text and JSON, served
-//!    by the `TelemetryServant` and the `odp-net` scrape listener.
+//!    stats, recorder state) rendered as Prometheus text, served by the
+//!    `TelemetryServant` (`export_text`) and the `odp-net` scrape
+//!    listener (`/metrics`).
 //! 6. [`FlightRecorder`]: the one trace store — an always-on bounded
 //!    ring of recent spans/events, with triggers (breaker-open, shed
 //!    bursts, chaos invariant violations) that store a rendered dump
@@ -47,7 +48,7 @@ pub mod recorder;
 mod wire_stats;
 
 pub use context::{current, set_current, CurrentGuard, TraceContext, FLAG_SAMPLED};
-pub use export::{render_json, render_prometheus, ExpositionData};
+pub use export::{render_prometheus, ExpositionData};
 pub use hub::{hub, EventRecord, Sampling, SpanRecord, TelemetryHub};
 pub use metrics::{
     Exemplar, LayerMetrics, MetricsRegistry, MetricsSnapshot, QueueGauge, QueueSnapshot, BUCKETS,

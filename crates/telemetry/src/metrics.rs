@@ -66,11 +66,6 @@ impl LayerMetrics {
         }
     }
 
-    /// Count one call with a latency sample in nanoseconds.
-    pub fn record_call_ns(&self, ns: u64, failed: bool) {
-        self.record_call_exemplar(ns, failed, 0, 0);
-    }
-
     /// Count one call with a latency sample and remember it as the
     /// bucket's exemplar: the most recent `(trace_id, node)` that landed
     /// there. A zero `trace_id` records the sample without touching the
@@ -362,7 +357,7 @@ mod tests {
         let m = LayerMetrics::new();
         m.count(false);
         m.count(true);
-        m.record_call_ns(1000, false);
+        m.record_call_exemplar(1000, false, 0, 0);
         assert_eq!(m.calls(), 3);
         assert_eq!(m.failures(), 1);
     }
@@ -371,10 +366,10 @@ mod tests {
     fn quantiles_track_buckets() {
         let m = LayerMetrics::new();
         for _ in 0..90 {
-            m.record_call_ns(1_000, false);
+            m.record_call_exemplar(1_000, false, 0, 0);
         }
         for _ in 0..10 {
-            m.record_call_ns(1_000_000, false);
+            m.record_call_exemplar(1_000_000, false, 0, 0);
         }
         let s = m.snapshot(1, "test");
         assert_eq!(s.samples, 100);
@@ -466,7 +461,7 @@ mod tests {
     #[test]
     fn zero_ns_does_not_panic() {
         let m = LayerMetrics::new();
-        m.record_call_ns(0, false);
+        m.record_call_exemplar(0, false, 0, 0);
         assert_eq!(m.snapshot(0, "z").samples, 1);
     }
 }

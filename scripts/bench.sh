@@ -101,9 +101,11 @@ sort -t$'\t' -k1,1 -k2,2 -k4,4g "$samples" | awk -F'\t' '
         close_group()
         printf "%-58s %12s %10s %12s %8s  %s\n", "case", "base_ns", "base_iqr", "change_ns", "delta", "verdict"
         for (c in cases) {
+            # Test membership before reading: reading med[c, side] creates it.
+            has_base = (c, "base") in med; has_change = (c, "change") in med
             b = med[c, "base"]; x = med[c, "change"]; q = iqr[c, "base"]
-            if (!((c, "base") in med)) verdict = "new"
-            else if (!((c, "change") in med)) verdict = "gone"
+            if (!has_base) verdict = "new"
+            else if (!has_change) verdict = "gone"
             else {
                 gated++
                 if (x - b > 0.10 * b && x - b > q) {

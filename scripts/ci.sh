@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The tier-1 gate, plus lint and doc-link hygiene and the telemetry
-# propagation suite.
+# The tier-1 gate, plus lint and doc-link hygiene, the telemetry
+# propagation suite and an Observatory smoke run.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -26,5 +26,11 @@ cargo test -q
 
 echo "== trace propagation =="
 cargo test -p odp --release --test trace_propagation
+
+echo "== observatory smoke =="
+# The Observatory's in-repo consumers: remote trace/timeline/metrics
+# interrogations, and odp-top scraping /metrics.
+cargo run -q -p odp --release --example trace_demo
+cargo run -q -p odp-bench --release --bin odp_top -- --demo --iterations 3 --plain
 
 echo "ci: clean"
