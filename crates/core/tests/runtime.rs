@@ -593,3 +593,19 @@ fn dropped_worlds_release_their_threads() {
         "worlds leak threads: {before} -> {after}"
     );
 }
+
+#[test]
+fn dropping_a_world_wakes_its_parked_workers() {
+    let world = World::builder().capsules(8).build();
+    // Let every worker run out its idle window and park.
+    std::thread::sleep(Duration::from_millis(20));
+    let start = std::time::Instant::now();
+    drop(world);
+    let took = start.elapsed();
+    // Nine endpoints (eight capsules and the system capsule) shut down in
+    // turn; a drop that waited out each worker's park timeout took ~900 ms.
+    assert!(
+        took < Duration::from_millis(300),
+        "dropping the world took {took:?}"
+    );
+}

@@ -9,7 +9,8 @@
 //! the pool, so a steady-state caller allocates nothing. The size comes
 //! from running the same encoder into a [`crate::ByteCount`] first
 //! ([`crate::encoded_len`], [`crate::payload_len`]), so it cannot drift
-//! from the bytes written.
+//! from the bytes written. No buffer is smaller than `MIN_CAPACITY`
+//! (128 B), so every small frame's buffer fits every other small frame.
 //!
 //! Structure: a small thread-local stack (lock-free fast path for the
 //! common acquire/release on one thread) over a bounded global free list
@@ -31,6 +32,14 @@ const LOCAL_POOL_CAP: usize = 8;
 
 /// Buffers kept on the global free list before releases start freeing.
 const GLOBAL_POOL_CAP: usize = 64;
+
+/// Smallest capacity the pool hands out. Buffers of every size share
+/// both tiers, and transport writer threads release request-sized and
+/// reply-sized buffers into the one global list; with exact sizes, timing
+/// decided whether a request encoder popped a smaller reply buffer (a miss
+/// and a regrow). Small frames all fit this floor, so any pooled buffer
+/// serves them.
+const MIN_CAPACITY: usize = 128;
 
 /// Largest capacity worth recycling; bigger buffers are dropped on
 /// release so the pool's worst-case footprint stays bounded.
@@ -55,6 +64,7 @@ impl PooledBuf {
     /// capacity, recycling a pooled one when available.
     #[must_use]
     pub fn acquire(min_capacity: usize) -> PooledBuf {
+        let min_capacity = min_capacity.max(MIN_CAPACITY);
         let recycled = LOCAL_POOL
             .with(|p| p.borrow_mut().pop())
             .or_else(|| GLOBAL_POOL.lock().ok().and_then(|mut p| p.pop()));

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The tier-1 gate, plus lint and doc-link hygiene, the telemetry
-# propagation suite and an Observatory smoke run.
+# propagation suite, an Observatory smoke run and a repository-benchmark
+# smoke run.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -32,5 +33,13 @@ echo "== observatory smoke =="
 # interrogations, and odp-top scraping /metrics.
 cargo run -q -p odp --release --example trace_demo
 cargo run -q -p odp-bench --release --bin odp_top -- --demo --iterations 3 --plain
+
+echo "== repository benchmark smoke =="
+# Short traced runs of the benchmark's workloads: a failed correctness
+# check on any answer or on the final state exits non-zero.
+for workload in rpc_small ledger_local; do
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 1
+done
 
 echo "ci: clean"
