@@ -5,7 +5,7 @@
 //! checkable from the outside:
 //!
 //! - `record(client, seq, value)` is keyed by the `(client, seq)` pair, an
-//!   *idempotency key*. REX's reply cache suppresses duplicate executions
+//!   *idempotency key*. REX's per-call record suppresses duplicate executions
 //!   of a single call's retransmissions, but a layer-level retry (or a
 //!   client-driven retry after a lost reply) is a **new** call with a new
 //!   call id — end-to-end at-most-once *effect* therefore needs keying at

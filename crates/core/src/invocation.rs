@@ -302,16 +302,12 @@ impl AccessLayer {
         // buffer (zero allocations at steady state) and exchange.
         let body = object::encode_request_pooled(&req.annotations, &req.args);
         if req.announcement {
-            capsule.rex().announce_traced(
-                req.target.home,
-                req.target.iface,
-                &req.op,
-                &body,
-                req.trace,
-            )?;
+            capsule
+                .rex()
+                .announce(req.target.home, req.target.iface, &req.op, &body, req.trace)?;
             return Ok(Outcome::ok(vec![]));
         }
-        let reply = capsule.rex().call_traced(
+        let reply = capsule.rex().call(
             req.target.home,
             req.target.iface,
             &req.op,

@@ -620,14 +620,22 @@ impl LocationLayer {
         updated
     }
 
+    /// Asks the relocation service where the target lives now, inside what
+    /// is left of the caller's budget: with the budget spent, it does not
+    /// ask.
     fn consult_relocator(&self, req: &CallRequest) -> Option<(odp_types::NodeId, u64)> {
+        let qos = match req.remaining_budget() {
+            Some(left) if left.is_zero() => return None,
+            Some(left) => CallQos::default().clamp_to(left),
+            None => CallQos::default(),
+        };
         let capsule = self.capsule.upgrade()?;
         let reloc_home = req.target.relocator?;
         let reloc_ref = capsule
             .relocator_ref()
             .filter(|r| r.home == reloc_home)
             .or_else(|| capsule.relocator_ref())?;
-        let binding = capsule.bind_with(reloc_ref, TransparencyPolicy::minimal());
+        let binding = capsule.bind_with(reloc_ref, TransparencyPolicy::minimal().with_qos(qos));
         let outcome = binding
             .interrogate(
                 RELOCATOR_OP_LOOKUP,

@@ -12,7 +12,7 @@ use odp_wire::Value;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn counter_type() -> InterfaceType {
     InterfaceTypeBuilder::new()
@@ -305,6 +305,38 @@ fn relocator_recovers_when_old_home_is_gone() {
     // Location layer must fall back to the relocation service.
     assert_eq!(binding.interrogate("read", vec![]).unwrap().int(), Some(3));
     assert_eq!(binding.target().home, dst.node());
+}
+
+#[test]
+fn relocator_lookup_stays_inside_the_callers_deadline() {
+    // The caller is cut off from the target and from the relocator alike,
+    // so the location layer's lookup can only time out. It must do so
+    // inside the caller's 200 ms, not on a 2 s budget of its own.
+    let world = World::quick();
+    let r = world.capsule(0).export(Counter::new());
+    let caller = world.capsule(1);
+    let qos = CallQos::with_deadline(Duration::from_millis(200));
+    let policies = [
+        TransparencyPolicy::default().with_qos(qos),
+        TransparencyPolicy::default()
+            .with_failure(None)
+            .with_qos(qos),
+    ];
+    let bindings: Vec<_> = policies
+        .into_iter()
+        .map(|p| caller.bind_with(r.clone(), p))
+        .collect();
+    for binding in &bindings {
+        binding.interrogate("read", vec![]).unwrap();
+    }
+    world.net().isolate(caller.node());
+    for binding in &bindings {
+        let start = Instant::now();
+        let err = binding.interrogate("read", vec![]).unwrap_err();
+        let elapsed = start.elapsed();
+        assert_eq!(err, InvokeError::Rex(RexError::Timeout));
+        assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+    }
 }
 
 #[test]

@@ -49,6 +49,10 @@ pub mod ops {
     pub const GET_VIEW: &str = "__grp_get_view";
     /// `__grp_ping() -> ok` — liveness probe used before promotion.
     pub const PING: &str = "__grp_ping";
+    /// `__grp_relay_async(seq, op, payload)` — the announcement twin of
+    /// [`RELAY`] used in hot-standby mode (an operation must be declared as
+    /// exactly one kind).
+    pub const RELAY_ASYNC: &str = "__grp_relay_async";
 }
 
 /// Termination returned to a client that contacted a non-sequencer while
@@ -373,40 +377,31 @@ impl GroupServant {
                         // Synchronous: reply only after every reachable
                         // member has accepted the ordered operation.
                         let reply = binding.interrogate(ops::RELAY, relay_args.clone());
-                        match reply {
-                            ref r if is_stale_seq_signal(r) => {
-                                // The member already applied this sequence
-                                // number: a successor promoted while we were
-                                // unreachable and owns the sequence now.
-                                // Adopt its view and redirect the client
-                                // rather than acking a split-brain write.
-                                // (The signal arrives as an error when the
-                                // binding surface has already downgraded the
-                                // reserved termination — see
-                                // `is_stale_seq_signal`.)
-                                if let Ok(vout) = binding.interrogate(ops::GET_VIEW, vec![]) {
-                                    if let Some(v) =
-                                        vout.results.first().and_then(GroupView::decode)
-                                    {
-                                        self.set_view(v);
-                                    }
+                        if is_stale_seq_signal(&reply) {
+                            // The member already applied this sequence
+                            // number: a successor promoted while we were
+                            // unreachable and owns the sequence now.
+                            // Adopt its view and redirect the client
+                            // rather than acking a split-brain write.
+                            if let Ok(vout) = binding.interrogate(ops::GET_VIEW, vec![]) {
+                                if let Some(v) = vout.results.first().and_then(GroupView::decode) {
+                                    self.set_view(v);
                                 }
-                                let target = self
-                                    .view()
-                                    .members
-                                    .iter()
-                                    .find(|m| Some(m.iface) != my)
-                                    .map_or(member.home, |m| m.home);
-                                return Outcome::new(
-                                    NOT_SEQUENCER,
-                                    vec![Value::Int(target.raw() as i64)],
-                                );
                             }
-                            Ok(_) | Err(_) => {}
+                            let target = self
+                                .view()
+                                .members
+                                .iter()
+                                .find(|m| Some(m.iface) != my)
+                                .map_or(member.home, |m| m.home);
+                            return Outcome::new(
+                                NOT_SEQUENCER,
+                                vec![Value::Int(target.raw() as i64)],
+                            );
                         }
                     }
                     GroupPolicy::HotStandby => {
-                        let _ = binding.announce_compat(ops::RELAY, relay_args.clone());
+                        let _ = binding.announce(ops::RELAY_ASYNC, relay_args.clone());
                     }
                 }
             }
@@ -512,7 +507,7 @@ impl Servant for GroupServant {
             vec![OutcomeSig::ok(vec![])],
         ));
         ops_list.push(OperationSig::announcement(
-            relay_announce_name(),
+            ops::RELAY_ASYNC,
             vec![TypeSpec::Int, TypeSpec::Str, TypeSpec::Bytes],
         ));
         ops_list.push(OperationSig::interrogation(
@@ -535,8 +530,7 @@ impl Servant for GroupServant {
 
     fn dispatch(&self, op: &str, args: Vec<Value>, ctx: &CallCtx) -> Outcome {
         match op {
-            ops::RELAY => self.handle_relay(args, ctx),
-            op if op == relay_announce_name() => self.handle_relay(args, ctx),
+            ops::RELAY | ops::RELAY_ASYNC => self.handle_relay(args, ctx),
             ops::VIEW => match args.first().and_then(GroupView::decode) {
                 Some(view) => {
                     self.set_view(view);
@@ -571,37 +565,9 @@ impl std::fmt::Debug for GroupServant {
 
 /// Whether a relay reply carries the [`STALE_SEQ`] fence signal.
 ///
-/// The relay binding's `interrogate` downgrades reserved terminations it
-/// does not model into `InvokeError::Protocol` at the binding surface
-/// (after the transparency layers have run), so depending on the dispatch
-/// path the fence arrives either as a raw outcome or as that error. Both
-/// must stop the stale sequencer from acking a split-brain write.
+/// The relay binding's `interrogate` turns every reserved termination it
+/// does not model into `InvokeError::Protocol` at the binding surface, so
+/// the fence always arrives as that error, never as a raw outcome.
 fn is_stale_seq_signal(reply: &Result<Outcome, odp_core::InvokeError>) -> bool {
-    match reply {
-        Ok(out) => out.termination == STALE_SEQ,
-        Err(odp_core::InvokeError::Protocol(msg)) => msg.contains(STALE_SEQ),
-        Err(_) => false,
-    }
-}
-
-/// Announcement twin of [`ops::RELAY`] used in hot-standby mode (an
-/// operation must be declared as exactly one kind).
-#[must_use]
-pub fn relay_announce_name() -> &'static str {
-    "__grp_relay_async"
-}
-
-/// Extension trait adding an announce that targets the async relay name.
-pub(crate) trait AnnounceCompat {
-    fn announce_compat(&self, op: &str, args: Vec<Value>) -> Result<(), odp_core::InvokeError>;
-}
-
-impl AnnounceCompat for odp_core::ClientBinding {
-    fn announce_compat(&self, op: &str, args: Vec<Value>) -> Result<(), odp_core::InvokeError> {
-        if op == ops::RELAY {
-            self.announce(relay_announce_name(), args)
-        } else {
-            self.announce(op, args)
-        }
-    }
+    matches!(reply, Err(odp_core::InvokeError::Protocol(msg)) if msg.contains(STALE_SEQ))
 }

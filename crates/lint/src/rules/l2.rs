@@ -6,8 +6,9 @@
 //! is held) must be acyclic, or two nodes can deadlock each other through
 //! the nucleus. Second, a lock must not be held across a channel send or
 //! wire I/O call: those block on backpressure, and a blocked holder stalls
-//! every other thread contending the lock (the reactor-rewrite hazard the
-//! ROADMAP names).
+//! every other thread contending the lock. A send can also run the
+//! receiver's frame sink on the sending thread (SimNet's zero-delay path),
+//! so a sink that needs the same lock deadlocks its own sender.
 //!
 //! Heuristics (DESIGN.md §8 documents the precision trade): a lock
 //! identity is `crate/receiver-ident`, so two same-named fields in one

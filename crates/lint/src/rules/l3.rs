@@ -1,11 +1,13 @@
 //! L3 — no blocking calls outside the transport layer.
 //!
-//! The ROADMAP's reactor rewrite turns the nucleus into a non-blocking
-//! event loop; a stray `thread::sleep` or synchronous `TcpStream` use in a
-//! layer above the transport silently stalls that loop for every capsule
-//! on the node. Blocking is the transport's job (`crates/net` owns the
-//! sockets and its worker threads may park); the chaos harness
-//! (`crates/chaos`) is exempt because injecting real time is its purpose.
+//! Layers above the transport run on shared, bounded threads: a capsule's
+//! REX workers, a caller's own thread, SimNet's delivering thread. A stray
+//! `thread::sleep` there stalls every call queued behind it, and a raw
+//! `TcpStream` bypasses the `odp_net::Transport` contract, so SimNet's
+//! latency, loss and partition injection never sees that traffic. Blocking
+//! is the transport's job (`crates/net` owns the sockets and its worker
+//! threads may park); the chaos harness (`crates/chaos`) is exempt because
+//! injecting real time is its purpose.
 //! `odp-lint` itself is exempt as a build-time tool that never runs inside
 //! a capsule.
 
@@ -47,8 +49,8 @@ pub fn check(ws: &Workspace, out: &mut Vec<Violation>) {
                     line,
                     krate: file.crate_name.clone(),
                     message: "direct `TcpStream` use outside the transport layer".to_owned(),
-                    hint: "route I/O through `odp_net::Transport` so the future \
-                           reactor owns every socket"
+                    hint: "route I/O through `odp_net::Transport`, so every socket \
+                           sits behind the contract the simulated network fakes"
                         .to_owned(),
                 });
             }

@@ -9,14 +9,15 @@
 //!   ("communications quality of service constraints must be specified
 //!   (either explicitly or by default)"). The request is retransmitted every
 //!   `retry_interval` until a reply arrives or `deadline` expires.
-//! * **At-most-once execution**: servers keep a bounded reply cache keyed by
-//!   `(caller, call id)`. A retransmitted request whose execution completed
-//!   is answered from the cache; one still executing is dropped (its reply
-//!   is on the way). The handler therefore runs **at most once per call id**
-//!   even under heavy retransmission — the property every transparency
-//!   above (transactions especially) depends on. A handler that panics is
-//!   answered with an empty body, cached like any reply, so a panic costs
-//!   its call but never a worker.
+//! * **At-most-once execution**: servers keep one bounded record per
+//!   `(caller, call id)`, either *running* or holding the call's reply. A
+//!   retransmitted request whose execution completed is answered from its
+//!   record; one still running is dropped (its reply is on the way). The
+//!   handler therefore runs **at most once per call id** even under heavy
+//!   retransmission — the property every transparency above (transactions
+//!   especially) depends on. A handler that panics is answered with an
+//!   empty body, recorded like any reply, so a panic costs its call but
+//!   never a worker.
 //! * **Announcements** are a single datagram: "in the case of announcement
 //!   \[failure reporting\] is not possible" (§5.1).
 //! * **One bounded job queue** of [`JOB_QUEUE_CAP`] feeds the `rex-worker`
@@ -43,11 +44,12 @@ use odp_wire::overload::{get_overload, put_overload, OVERLOAD_WIRE_LEN};
 use odp_wire::trace::get_trace;
 use odp_wire::{CallPriority, PooledBuf};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Per-call quality of service constraints (§5.1).
@@ -155,15 +157,15 @@ pub struct RexRequest {
     /// control queues (and sheds) by it under overload.
     pub priority: CallPriority,
     /// Absolute deadline reconstructed from the envelope's relative
-    /// budget, anchored when the transport hands the frame to this
-    /// endpoint, so time queued for a worker counts against it. `None`
-    /// when the caller sent no budget (announcements).
+    /// budget, anchored when the frame is parsed on arrival, so time
+    /// queued for a worker counts against it. `None` when the caller sent
+    /// no budget (announcements).
     pub deadline: Option<Instant>,
 }
 
 /// Server-side request handler: returns the marshalled reply body in a
-/// pooled buffer (the REX worker frames it, sends it, and parks the body
-/// in the reply cache; eviction recycles the buffer).
+/// pooled buffer (the REX worker frames it, sends it, and keeps the body
+/// in the call's record; eviction recycles the buffer).
 pub type Handler = Arc<dyn Fn(RexRequest) -> PooledBuf + Send + Sync>;
 
 const KIND_REQUEST: u8 = 0;
@@ -203,25 +205,17 @@ fn encode_reply(call_id: u64, body: &[u8]) -> PooledBuf {
 }
 
 enum Parsed {
-    Request {
-        call_id: u64,
-        trace: TraceContext,
-        priority: CallPriority,
-        /// Relative deadline budget in microseconds (`0` = none); the
-        /// frame sink anchors it to the arrival instant.
-        budget_micros: u64,
-        iface: InterfaceId,
-        op: String,
-        body: Bytes,
-        announcement: bool,
-    },
+    /// A request or announcement, with its call id.
+    Request(u64, RexRequest),
     Reply {
         call_id: u64,
         body: Bytes,
     },
 }
 
-fn parse(mut payload: Bytes) -> Result<Parsed, RexError> {
+/// Parses a frame from `from`. A request's relative deadline budget is
+/// anchored here, on arrival.
+fn parse(from: NodeId, mut payload: Bytes) -> Result<Parsed, RexError> {
     use bytes::Buf;
     if payload.len() < 9 {
         return Err(RexError::Malformed);
@@ -237,6 +231,8 @@ fn parse(mut payload: Bytes) -> Result<Parsed, RexError> {
             let trace = get_trace(&mut payload).ok_or(RexError::Malformed)?;
             let (priority, budget_micros) =
                 get_overload(&mut payload).ok_or(RexError::Malformed)?;
+            let deadline =
+                (budget_micros > 0).then(|| Instant::now() + Duration::from_micros(budget_micros));
             if payload.len() < 10 {
                 return Err(RexError::Malformed);
             }
@@ -249,16 +245,19 @@ fn parse(mut payload: Bytes) -> Result<Parsed, RexError> {
             let op = std::str::from_utf8(&op_bytes)
                 .map_err(|_| RexError::Malformed)?
                 .to_owned();
-            Ok(Parsed::Request {
+            Ok(Parsed::Request(
                 call_id,
-                trace,
-                priority,
-                budget_micros,
-                iface,
-                op,
-                body: payload,
-                announcement: kind == KIND_ANNOUNCE,
-            })
+                RexRequest {
+                    from,
+                    iface,
+                    op,
+                    body: payload,
+                    announcement: kind == KIND_ANNOUNCE,
+                    trace,
+                    priority,
+                    deadline,
+                },
+            ))
         }
         _ => Err(RexError::Malformed),
     }
@@ -285,19 +284,24 @@ const IDLE_WINDOW: Duration = Duration::from_micros(20);
 /// up a stop that found the queue full.
 const PARK_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// Bound on cached replies per endpoint; beyond it the oldest entries are
-/// evicted (a retransmission arriving later than this is answered by
+/// Bound on completed calls remembered per endpoint; beyond it the oldest
+/// are evicted (a retransmission arriving later than this is answered by
 /// re-execution being suppressed at the transaction layer).
 const REPLY_CACHE_CAP: usize = 4096;
 
+/// The server's record of one interrogation, keyed by `(caller, call id)`.
+enum CallRecord {
+    /// On a worker now: a duplicate is dropped, its reply is on the way.
+    Running,
+    /// Done: a duplicate is answered with this reply body (pooled;
+    /// eviction recycles it).
+    Replied(PooledBuf),
+}
+
 struct ServerState {
-    /// Completed calls: reply bodies (pooled; eviction recycles) for
-    /// retransmission.
-    cache: HashMap<(NodeId, u64), PooledBuf>,
-    /// FIFO of cache keys for eviction.
+    calls: HashMap<(NodeId, u64), CallRecord>,
+    /// Completed calls, oldest first, for eviction.
     order: VecDeque<(NodeId, u64)>,
-    /// Calls currently executing (duplicates dropped).
-    executing: HashSet<(NodeId, u64)>,
 }
 
 /// One node's REX protocol engine: client and server side in one object, as
@@ -308,7 +312,7 @@ pub struct RexEndpoint {
     transport: Arc<dyn Transport>,
     pending: Mutex<HashMap<u64, Sender<Bytes>>>,
     next_call: AtomicU64,
-    handler: Mutex<Option<Handler>>,
+    handler: OnceLock<Handler>,
     server: Mutex<ServerState>,
     running: AtomicBool,
     job_tx: Sender<Job>,
@@ -317,7 +321,7 @@ pub struct RexEndpoint {
     pub calls_sent: AtomicU64,
     /// Requests executed by the handler (deduplicated count).
     pub requests_executed: AtomicU64,
-    /// Duplicate requests suppressed or answered from cache.
+    /// Duplicate requests suppressed or answered from their record.
     pub duplicates_suppressed: AtomicU64,
     /// Calls that failed because their deadline budget ran out (including
     /// calls issued with an already-exhausted budget).
@@ -364,7 +368,7 @@ impl RexEndpoint {
             pending: Mutex::new(HashMap::new()),
             // Seed the call-id space from the clock so ids from a restarted
             // node do not collide with ids its predecessor left in peer
-            // reply caches.
+            // call records.
             next_call: AtomicU64::new(
                 std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
@@ -372,11 +376,10 @@ impl RexEndpoint {
                     .unwrap_or(1)
                     | 1,
             ),
-            handler: Mutex::new(None),
+            handler: OnceLock::new(),
             server: Mutex::new(ServerState {
-                cache: HashMap::new(),
+                calls: HashMap::new(),
                 order: VecDeque::new(),
-                executing: HashSet::new(),
             }),
             running: AtomicBool::new(true),
             job_tx,
@@ -431,40 +434,23 @@ impl RexEndpoint {
         self.node
     }
 
-    /// Installs the server-side handler. Replaces any previous handler.
+    /// Installs the server-side handler. An endpoint serves one handler
+    /// for its whole life, so workers read it without a lock: the first
+    /// installation wins and later ones are ignored. Until one is
+    /// installed, interrogations are answered with an empty body.
     pub fn set_handler(&self, handler: Handler) {
-        *self.handler.lock() = Some(handler);
+        // odp-lint: allow(l6, reason = "the first handler stays installed; a later one is dropped, as documented")
+        let _ = self.handler.set(handler);
     }
 
-    /// Performs an interrogation: sends the request, retransmits per QoS,
-    /// and blocks for the reply body.
+    /// Performs an interrogation: sends the request stamped with `trace`,
+    /// retransmits per QoS, and blocks for the reply body.
     ///
     /// # Errors
     ///
     /// [`RexError::Timeout`] after the deadline, [`RexError::Unreachable`]
     /// if the destination is unregistered, or transport failures.
     pub fn call(
-        &self,
-        to: NodeId,
-        iface: InterfaceId,
-        op: &str,
-        body: &[u8],
-        qos: CallQos,
-    ) -> Result<Bytes, RexError> {
-        // Protocol layers (groups, transactions, …) issue REX calls from
-        // inside a traced dispatch; the thread-local current trace keeps
-        // their nested invocations causally linked without plumbing.
-        self.call_traced(to, iface, op, body, qos, odp_telemetry::current())
-    }
-
-    /// [`RexEndpoint::call`] with an explicit trace context stamped into
-    /// the request envelope (used by the access layer, which owns the
-    /// per-call context).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RexEndpoint::call`].
-    pub fn call_traced(
         &self,
         to: NodeId,
         iface: InterfaceId,
@@ -496,7 +482,7 @@ impl RexEndpoint {
         // budget is *relative* (clocks are unsynchronized): the server
         // re-anchors it at arrival, so it is stamped once at first send —
         // retransmissions deliberately carry the original budget, since a
-        // duplicate is answered from the reply cache anyway.
+        // duplicate is answered from its record anyway.
         let budget_micros = u64::try_from(qos.deadline.as_micros()).unwrap_or(u64::MAX);
         let msg = encode_request(
             KIND_REQUEST,
@@ -539,29 +525,14 @@ impl RexEndpoint {
         }
     }
 
-    /// Sends an announcement: one datagram, no reply, no retransmission.
+    /// Sends an announcement stamped with `trace`: one datagram, no reply,
+    /// no retransmission.
     ///
     /// # Errors
     ///
     /// Only *local* engineering errors (unknown destination, transport
     /// closed) are reported; remote failure is invisible by design (§5.1).
     pub fn announce(
-        &self,
-        to: NodeId,
-        iface: InterfaceId,
-        op: &str,
-        body: &[u8],
-    ) -> Result<(), RexError> {
-        self.announce_traced(to, iface, op, body, odp_telemetry::current())
-    }
-
-    /// [`RexEndpoint::announce`] with an explicit trace context stamped
-    /// into the announcement envelope.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RexEndpoint::announce`].
-    pub fn announce_traced(
         &self,
         to: NodeId,
         iface: InterfaceId,
@@ -643,7 +614,7 @@ impl RexEndpoint {
     fn deliver(&self, env: Envelope) {
         let from = env.from;
         let frame_len = env.payload.len();
-        match parse(env.payload) {
+        match parse(from, env.payload) {
             Ok(Parsed::Reply { call_id, body }) => {
                 // Take the waiter out under the lock, deliver after
                 // releasing it: an `if let` on the locked map would pin
@@ -656,32 +627,9 @@ impl RexEndpoint {
                 }
                 // Late replies after timeout are silently dropped.
             }
-            Ok(Parsed::Request {
-                call_id,
-                trace,
-                priority,
-                budget_micros,
-                iface,
-                op,
-                body,
-                announcement,
-            }) => {
-                let deadline = (budget_micros > 0)
-                    .then(|| Instant::now() + Duration::from_micros(budget_micros));
-                let queued = self.job_tx.try_send(Job::Remote(
-                    call_id,
-                    RexRequest {
-                        from,
-                        iface,
-                        op,
-                        body,
-                        announcement,
-                        trace,
-                        priority,
-                        deadline,
-                    },
-                ));
-                if let Err(TrySendError::Full(_)) = queued {
+            Ok(Parsed::Request(call_id, req)) => {
+                if let Err(TrySendError::Full(_)) = self.job_tx.try_send(Job::Remote(call_id, req))
+                {
                     // The sink must not block the delivering thread: drop
                     // the request. The caller's retransmission recovers an
                     // interrogation; an announcement is lost (§5.1).
@@ -757,28 +705,30 @@ impl RexEndpoint {
             let key = (from, call_id);
             if !announcement {
                 let mut server = self.server.lock();
-                if let Some(cached) = server.cache.get(&key) {
-                    // Retransmission of a completed call: resend the reply,
-                    // do NOT re-execute.
-                    self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
-                    let reply = encode_reply(call_id, cached);
-                    drop(server);
-                    // odp-lint: allow(l6, reason = "reply delivery is best-effort; the caller's retransmit re-requests it from the cache")
-                    let _ = self.transport.send_frame(self.node, from, &reply);
-                    continue;
-                }
-                if !server.executing.insert(key) {
-                    // Already running on another worker: drop the duplicate.
-                    self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
-                    continue;
+                match server.calls.entry(key) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(CallRecord::Running);
+                    }
+                    Entry::Occupied(record) => {
+                        // A retransmission: do NOT re-execute. A running
+                        // call's reply is on its way; a completed call's
+                        // reply is resent.
+                        self.duplicates_suppressed.fetch_add(1, Ordering::Relaxed);
+                        if let CallRecord::Replied(body) = record.get() {
+                            let reply = encode_reply(call_id, body);
+                            drop(server);
+                            // odp-lint: allow(l6, reason = "reply delivery is best-effort; the caller's retransmit re-requests it from the record")
+                            let _ = self.transport.send_frame(self.node, from, &reply);
+                        }
+                        continue;
+                    }
                 }
             }
-            let handler = self.handler.lock().clone();
-            let reply_body = match handler {
+            let reply_body = match self.handler.get() {
                 Some(h) => {
                     self.requests_executed.fetch_add(1, Ordering::Relaxed);
                     // A panicking handler costs its call, not the worker:
-                    // the caller gets the handlerless empty reply, cached
+                    // the caller gets the handlerless empty reply, recorded
                     // like any other so a retransmission never re-runs it.
                     std::panic::catch_unwind(AssertUnwindSafe(|| h(req))).unwrap_or_else(|_| {
                         self.count_panic(format!("handler panicked on call {call_id} from {from}"));
@@ -793,17 +743,16 @@ impl RexEndpoint {
             let reply = encode_reply(call_id, &reply_body);
             {
                 let mut server = self.server.lock();
-                server.executing.remove(&key);
-                // The body moves into the cache; eviction recycles it.
-                server.cache.insert(key, reply_body);
+                // The body moves into the record; eviction recycles it.
+                server.calls.insert(key, CallRecord::Replied(reply_body));
                 server.order.push_back(key);
                 while server.order.len() > REPLY_CACHE_CAP {
                     if let Some(old) = server.order.pop_front() {
-                        server.cache.remove(&old);
+                        server.calls.remove(&old);
                     }
                 }
             }
-            // odp-lint: allow(l6, reason = "reply delivery is best-effort; the caller's retransmit re-requests it from the cache")
+            // odp-lint: allow(l6, reason = "reply delivery is best-effort; the caller's retransmit re-requests it from the record")
             let _ = self.transport.send_frame(self.node, from, &reply);
         }
     }
@@ -843,7 +792,6 @@ impl Drop for PendingGuard<'_> {
 mod tests {
     use super::*;
     use crate::sim::{LinkConfig, SimNet};
-    use crate::transport::Envelope;
     use bytes::{BufMut, BytesMut};
 
     fn pair(net: &SimNet) -> (Arc<RexEndpoint>, Arc<RexEndpoint>) {
@@ -869,6 +817,7 @@ mod tests {
                 "echo",
                 b"hello",
                 CallQos::default(),
+                TraceContext::NONE,
             )
             .unwrap();
         assert_eq!(reply, Bytes::from_static(b"hello"));
@@ -886,7 +835,14 @@ mod tests {
                     for j in 0..20u64 {
                         let body = Bytes::copy_from_slice(&(i * 1000 + j).to_be_bytes());
                         let reply = a
-                            .call(NodeId(2), InterfaceId(1), "echo", &body, CallQos::default())
+                            .call(
+                                NodeId(2),
+                                InterfaceId(1),
+                                "echo",
+                                &body,
+                                CallQos::default(),
+                                TraceContext::NONE,
+                            )
                             .unwrap();
                         assert_eq!(reply, body);
                     }
@@ -909,6 +865,7 @@ mod tests {
                 "echo",
                 b"",
                 CallQos::with_deadline(Duration::from_millis(80)),
+                TraceContext::NONE,
             )
             .unwrap_err();
         assert_eq!(err, RexError::Timeout);
@@ -923,7 +880,14 @@ mod tests {
         assert_eq!(qos.deadline, Duration::ZERO);
         let start = Instant::now();
         let err = a
-            .call(NodeId(2), InterfaceId(1), "echo", b"", qos)
+            .call(
+                NodeId(2),
+                InterfaceId(1),
+                "echo",
+                b"",
+                qos,
+                TraceContext::NONE,
+            )
             .unwrap_err();
         assert_eq!(err, RexError::Timeout);
         assert!(start.elapsed() < Duration::from_millis(50));
@@ -959,7 +923,14 @@ mod tests {
         let (a, b) = pair(&net);
         b.shutdown();
         let err = a
-            .call(NodeId(2), InterfaceId(1), "x", b"", CallQos::default())
+            .call(
+                NodeId(2),
+                InterfaceId(1),
+                "x",
+                b"",
+                CallQos::default(),
+                TraceContext::NONE,
+            )
             .unwrap_err();
         assert_eq!(err, RexError::Unreachable(NodeId(2)));
     }
@@ -978,7 +949,14 @@ mod tests {
         };
         for _ in 0..10 {
             let reply = a
-                .call(NodeId(2), InterfaceId(1), "echo", b"x", qos)
+                .call(
+                    NodeId(2),
+                    InterfaceId(1),
+                    "echo",
+                    b"x",
+                    qos,
+                    TraceContext::NONE,
+                )
                 .unwrap();
             assert_eq!(reply, Bytes::from_static(b"x"));
         }
@@ -1005,7 +983,14 @@ mod tests {
             priority: CallPriority::Normal,
         };
         let reply = a
-            .call(NodeId(2), InterfaceId(1), "echo", b"q", qos)
+            .call(
+                NodeId(2),
+                InterfaceId(1),
+                "echo",
+                b"q",
+                qos,
+                TraceContext::NONE,
+            )
             .unwrap();
         assert_eq!(reply, Bytes::from_static(b"q"));
         assert_eq!(hits.load(Ordering::SeqCst), 1, "handler ran more than once");
@@ -1023,7 +1008,8 @@ mod tests {
             PooledBuf::default()
         }));
         for _ in 0..5 {
-            a.announce(NodeId(2), InterfaceId(1), "tick", b"").unwrap();
+            a.announce(NodeId(2), InterfaceId(1), "tick", b"", TraceContext::NONE)
+                .unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(2);
         while seen.load(Ordering::SeqCst) < 5 && Instant::now() < deadline {
@@ -1084,7 +1070,8 @@ mod tests {
         // (SimNet's zero-delay path delivers on this thread).
         let refused = b.try_execute(Box::new(|| {})).err();
         assert!(refused.is_some(), "a full queue hands the job back");
-        a.announce(NodeId(2), InterfaceId(1), "tick", b"").unwrap();
+        a.announce(NodeId(2), InterfaceId(1), "tick", b"", TraceContext::NONE)
+            .unwrap();
         assert_eq!(b.queue_full_dropped.load(Ordering::Relaxed), 1);
         release_tx.send(()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1093,7 +1080,8 @@ mod tests {
         }
         assert_eq!(ran.load(Ordering::SeqCst), JOB_QUEUE_CAP as u64);
         // With room again, requests are served.
-        a.announce(NodeId(2), InterfaceId(1), "tick", b"").unwrap();
+        a.announce(NodeId(2), InterfaceId(1), "tick", b"", TraceContext::NONE)
+            .unwrap();
         while seen.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -1120,7 +1108,14 @@ mod tests {
         b.set_handler(Arc::new(move |req: RexRequest| {
             let b = inner.upgrade().expect("endpoint outlives its handler");
             let reply = b
-                .call(NodeId(3), InterfaceId(1), "echo", &req.body, qos)
+                .call(
+                    NodeId(3),
+                    InterfaceId(1),
+                    "echo",
+                    &req.body,
+                    qos,
+                    TraceContext::NONE,
+                )
                 .expect("nested call");
             PooledBuf::from_slice(&reply)
         }));
@@ -1128,7 +1123,14 @@ mod tests {
         for i in 0..20u64 {
             let body = i.to_be_bytes();
             let reply = a
-                .call(NodeId(2), InterfaceId(1), "relay", &body, qos)
+                .call(
+                    NodeId(2),
+                    InterfaceId(1),
+                    "relay",
+                    &body,
+                    qos,
+                    TraceContext::NONE,
+                )
                 .unwrap();
             assert_eq!(reply, Bytes::copy_from_slice(&body));
         }
@@ -1148,7 +1150,14 @@ mod tests {
         let net = SimNet::perfect();
         let (a, _b) = pair(&net);
         let reply = a
-            .call(NodeId(2), InterfaceId(1), "x", b"", CallQos::default())
+            .call(
+                NodeId(2),
+                InterfaceId(1),
+                "x",
+                b"",
+                CallQos::default(),
+                TraceContext::NONE,
+            )
             .unwrap();
         assert!(reply.is_empty());
     }
@@ -1180,7 +1189,14 @@ mod tests {
         };
         let start = Instant::now();
         let reply = a
-            .call(NodeId(2), InterfaceId(1), "x", b"boom", qos)
+            .call(
+                NodeId(2),
+                InterfaceId(1),
+                "x",
+                b"boom",
+                qos,
+                TraceContext::NONE,
+            )
             .unwrap();
         assert!(reply.is_empty(), "a panic is answered with an empty body");
         assert!(
@@ -1196,7 +1212,14 @@ mod tests {
         );
         // The endpoint's only worker survived and serves the next call.
         let reply = a
-            .call(NodeId(2), InterfaceId(1), "x", b"fine", qos)
+            .call(
+                NodeId(2),
+                InterfaceId(1),
+                "x",
+                b"fine",
+                qos,
+                TraceContext::NONE,
+            )
             .unwrap();
         assert_eq!(reply, Bytes::from_static(b"fine"));
         assert_eq!(hits.load(Ordering::SeqCst), 2);
@@ -1220,6 +1243,7 @@ mod tests {
                 "echo",
                 b"after",
                 CallQos::with_deadline(Duration::from_secs(2)),
+                TraceContext::NONE,
             )
             .unwrap();
         assert_eq!(reply, Bytes::from_static(b"after"));
@@ -1246,6 +1270,7 @@ mod tests {
                 "echo",
                 b"tcp",
                 CallQos::with_deadline(Duration::from_secs(5)),
+                TraceContext::NONE,
             )
             .unwrap();
         assert_eq!(reply, Bytes::from_static(b"tcp"));
@@ -1261,8 +1286,15 @@ mod tests {
         a.shutdown();
         a.shutdown();
         assert_eq!(
-            a.call(NodeId(2), InterfaceId(1), "x", b"", CallQos::default())
-                .unwrap_err(),
+            a.call(
+                NodeId(2),
+                InterfaceId(1),
+                "x",
+                b"",
+                CallQos::default(),
+                TraceContext::NONE
+            )
+            .unwrap_err(),
             RexError::Closed
         );
     }
@@ -1273,17 +1305,18 @@ mod tests {
         let (a, b) = pair(&net);
         b.set_handler(echo_handler());
         // Inject garbage straight onto the transport.
-        net.send(Envelope::new(
-            NodeId(1),
-            NodeId(2),
-            Bytes::from_static(b"\xff\xff"),
-        ))
-        .unwrap();
-        net.send(Envelope::new(NodeId(1), NodeId(2), Bytes::new()))
-            .unwrap();
+        net.send_frame(NodeId(1), NodeId(2), b"\xff\xff").unwrap();
+        net.send_frame(NodeId(1), NodeId(2), b"").unwrap();
         // Endpoint still works.
         let reply = a
-            .call(NodeId(2), InterfaceId(1), "echo", b"ok", CallQos::default())
+            .call(
+                NodeId(2),
+                InterfaceId(1),
+                "echo",
+                b"ok",
+                CallQos::default(),
+                TraceContext::NONE,
+            )
             .unwrap();
         assert_eq!(reply, Bytes::from_static(b"ok"));
     }
@@ -1291,15 +1324,18 @@ mod tests {
     #[test]
     fn parse_rejects_short_buffers() {
         assert!(matches!(
-            parse(Bytes::from_static(b"")),
+            parse(NodeId(1), Bytes::from_static(b"")),
             Err(RexError::Malformed)
         ));
         assert!(matches!(
-            parse(Bytes::from_static(b"\x00\x01")),
+            parse(NodeId(1), Bytes::from_static(b"\x00\x01")),
             Err(RexError::Malformed)
         ));
         assert!(matches!(
-            parse(Bytes::from_static(b"\x09\x00\x00\x00\x00\x00\x00\x00\x00")),
+            parse(
+                NodeId(1),
+                Bytes::from_static(b"\x09\x00\x00\x00\x00\x00\x00\x00\x00")
+            ),
             Err(RexError::Malformed)
         ));
         // A request whose trace context is truncated: kind + call id are
@@ -1309,7 +1345,7 @@ mod tests {
         truncated.put_u64(42);
         truncated.extend_from_slice(&[0u8; 10]);
         assert!(matches!(
-            parse(truncated.freeze()),
+            parse(NodeId(1), truncated.freeze()),
             Err(RexError::Malformed)
         ));
         // A request whose trace context is complete but whose overload
@@ -1320,7 +1356,7 @@ mod tests {
         no_overload.extend_from_slice(&[0u8; TraceContext::WIRE_LEN]);
         no_overload.extend_from_slice(&[0u8; 3]);
         assert!(matches!(
-            parse(no_overload.freeze()),
+            parse(NodeId(1), no_overload.freeze()),
             Err(RexError::Malformed)
         ));
     }
@@ -1342,10 +1378,10 @@ mod tests {
             "op",
             b"body",
         );
-        match parse(Bytes::copy_from_slice(&msg)).unwrap() {
-            Parsed::Request { trace, op, .. } => {
-                assert_eq!(trace, ctx);
-                assert_eq!(op, "op");
+        match parse(NodeId(1), Bytes::copy_from_slice(&msg)).unwrap() {
+            Parsed::Request(_, req) => {
+                assert_eq!(req.trace, ctx);
+                assert_eq!(req.op, "op");
             }
             Parsed::Reply { .. } => panic!("parsed as reply"),
         }
@@ -1362,14 +1398,16 @@ mod tests {
             "op",
             b"",
         );
-        match parse(Bytes::copy_from_slice(&msg)).unwrap() {
-            Parsed::Request {
-                priority,
-                budget_micros,
-                ..
-            } => {
-                assert_eq!(priority, CallPriority::High);
-                assert_eq!(budget_micros, 750_000);
+        let before = Instant::now();
+        let parsed = parse(NodeId(1), Bytes::copy_from_slice(&msg)).unwrap();
+        let after = Instant::now();
+        match parsed {
+            Parsed::Request(_, req) => {
+                assert_eq!(req.priority, CallPriority::High);
+                // The 750 ms budget is anchored at parse time.
+                let deadline = req.deadline.expect("interrogations carry a budget");
+                let budget = Duration::from_micros(750_000);
+                assert!(deadline >= before + budget && deadline <= after + budget);
             }
             Parsed::Reply { .. } => panic!("parsed as reply"),
         }
@@ -1389,8 +1427,15 @@ mod tests {
         let qos =
             CallQos::with_deadline(Duration::from_millis(500)).with_priority(CallPriority::High);
         let before = Instant::now();
-        a.call(NodeId(2), InterfaceId(1), "echo", b"x", qos)
-            .unwrap();
+        a.call(
+            NodeId(2),
+            InterfaceId(1),
+            "echo",
+            b"x",
+            qos,
+            TraceContext::NONE,
+        )
+        .unwrap();
         let (priority, deadline) = seen.lock().take().expect("handler ran");
         assert_eq!(priority, CallPriority::High);
         let deadline = deadline.expect("interrogations carry a budget");
@@ -1399,7 +1444,8 @@ mod tests {
         assert!(deadline > before);
         assert!(deadline <= Instant::now() + Duration::from_millis(500));
         // Announcements carry no budget and the bulk priority.
-        a.announce(NodeId(2), InterfaceId(1), "tick", b"").unwrap();
+        a.announce(NodeId(2), InterfaceId(1), "tick", b"", TraceContext::NONE)
+            .unwrap();
         let wait = Instant::now() + Duration::from_secs(2);
         while seen.lock().is_none() && Instant::now() < wait {
             std::thread::sleep(Duration::from_millis(5));
@@ -1425,7 +1471,7 @@ mod tests {
             parent_span: 4,
             flags: odp_telemetry::FLAG_SAMPLED,
         };
-        a.call_traced(
+        a.call(
             NodeId(2),
             InterfaceId(1),
             "echo",
@@ -1441,12 +1487,7 @@ mod tests {
     fn malformed_frames_counted_and_recorded() {
         let net = SimNet::perfect();
         let (_a, b) = pair(&net);
-        net.send(Envelope::new(
-            NodeId(1),
-            NodeId(2),
-            Bytes::from_static(b"\xff\xff"),
-        ))
-        .unwrap();
+        net.send_frame(NodeId(1), NodeId(2), b"\xff\xff").unwrap();
         let deadline = Instant::now() + Duration::from_secs(2);
         while b.malformed_dropped.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));

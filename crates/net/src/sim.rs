@@ -90,7 +90,7 @@ impl Default for SimNetConfig {
 /// first-order output of several benches).
 #[derive(Debug, Default)]
 pub struct SimNetStats {
-    /// Messages accepted by `send`.
+    /// Messages accepted by `send_frame`.
     pub sent: AtomicU64,
     /// Messages actually delivered to an endpoint.
     pub delivered: AtomicU64,
@@ -477,10 +477,18 @@ impl Transport for SimNet {
         let _sink = self.inner.lock().nodes.remove(&node);
     }
 
-    fn send(&self, env: Envelope) -> Result<(), NetError> {
+    fn send_frame(
+        &self,
+        from: odp_types::NodeId,
+        to: odp_types::NodeId,
+        payload: &[u8],
+    ) -> Result<(), NetError> {
         if !self.running.load(Ordering::SeqCst) {
             return Err(NetError::Closed);
         }
+        // Copied before the lock is taken, so the copy never lengthens the
+        // network's critical section.
+        let env = Envelope::new(from, to, bytes::Bytes::copy_from_slice(payload));
         let mut inner = self.inner.lock();
         let Some(sink) = inner.nodes.get(&env.to).cloned() else {
             return Err(NetError::UnknownNode(env.to));
@@ -551,20 +559,21 @@ impl std::fmt::Debug for SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Endpoint;
+    use crate::transport::tests::inbox;
     use bytes::Bytes;
+    use crossbeam::channel::{RecvError, RecvTimeoutError};
     use odp_types::NodeId;
 
-    fn env(from: u64, to: u64, msg: &'static [u8]) -> Envelope {
-        Envelope::new(NodeId(from), NodeId(to), Bytes::from_static(msg))
+    fn send(net: &SimNet, from: u64, to: u64, msg: &[u8]) -> Result<(), NetError> {
+        net.send_frame(NodeId(from), NodeId(to), msg)
     }
 
     #[test]
     fn zero_latency_delivery() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
-        net.send(env(1, 2, b"hi")).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
+        send(&net, 1, 2, b"hi").unwrap();
         let got = b.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(got.payload, Bytes::from_static(b"hi"));
         assert_eq!(got.from, NodeId(1));
@@ -573,19 +582,19 @@ mod tests {
     #[test]
     fn duplicate_registration_rejected() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
         assert_eq!(
-            Endpoint::register(&net, NodeId(1)).unwrap_err(),
-            NetError::AlreadyRegistered(NodeId(1))
+            inbox(&net, NodeId(1)).err(),
+            Some(NetError::AlreadyRegistered(NodeId(1)))
         );
     }
 
     #[test]
     fn unknown_destination_rejected() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
         assert_eq!(
-            net.send(env(1, 9, b"x")).unwrap_err(),
+            send(&net, 1, 9, b"x").unwrap_err(),
             NetError::UnknownNode(NodeId(9))
         );
     }
@@ -593,15 +602,15 @@ mod tests {
     #[test]
     fn latency_is_applied() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
         net.set_link(
             NodeId(1),
             NodeId(2),
             LinkConfig::with_latency(Duration::from_millis(30)),
         );
         let start = Instant::now();
-        net.send(env(1, 2, b"slow")).unwrap();
+        send(&net, 1, 2, b"slow").unwrap();
         b.recv_timeout(Duration::from_secs(1)).unwrap();
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_millis(25), "{elapsed:?}");
@@ -610,20 +619,15 @@ mod tests {
     #[test]
     fn latency_preserves_order_per_link() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
         net.set_link(
             NodeId(1),
             NodeId(2),
             LinkConfig::with_latency(Duration::from_millis(5)),
         );
         for i in 0..10u8 {
-            net.send(Envelope::new(
-                NodeId(1),
-                NodeId(2),
-                Bytes::copy_from_slice(&[i]),
-            ))
-            .unwrap();
+            send(&net, 1, 2, &[i]).unwrap();
         }
         for i in 0..10u8 {
             let got = b.recv_timeout(Duration::from_secs(1)).unwrap();
@@ -634,15 +638,15 @@ mod tests {
     #[test]
     fn total_loss_drops_everything_silently() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
         net.set_link(NodeId(1), NodeId(2), LinkConfig::with_loss(1.0));
         for _ in 0..20 {
-            net.send(env(1, 2, b"gone")).unwrap();
+            send(&net, 1, 2, b"gone").unwrap();
         }
         assert_eq!(
             b.recv_timeout(Duration::from_millis(20)).unwrap_err(),
-            NetError::Timeout
+            RecvTimeoutError::Timeout
         );
         assert_eq!(net.stats().lost.load(Ordering::Relaxed), 20);
     }
@@ -655,11 +659,11 @@ mod tests {
                     seed: 42,
                     ..SimNetConfig::default()
                 });
-                let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-                let _b = Endpoint::register(&net, NodeId(2)).unwrap();
+                let _a = inbox(&net, NodeId(1)).unwrap();
+                let _b = inbox(&net, NodeId(2)).unwrap();
                 net.set_link(NodeId(1), NodeId(2), LinkConfig::with_loss(0.5));
                 for _ in 0..100 {
-                    net.send(env(1, 2, b"x")).unwrap();
+                    send(&net, 1, 2, b"x").unwrap();
                 }
                 net.stats().lost.load(Ordering::Relaxed)
             })
@@ -671,15 +675,15 @@ mod tests {
     #[test]
     fn partition_blocks_and_heals() {
         let net = SimNet::perfect();
-        let a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
         net.partition(NodeId(1), NodeId(2));
-        net.send(env(1, 2, b"blocked")).unwrap();
-        net.send(env(2, 1, b"blocked")).unwrap();
+        send(&net, 1, 2, b"blocked").unwrap();
+        send(&net, 2, 1, b"blocked").unwrap();
         assert!(b.recv_timeout(Duration::from_millis(20)).is_err());
         assert!(a.recv_timeout(Duration::from_millis(20)).is_err());
         net.heal(NodeId(1), NodeId(2));
-        net.send(env(1, 2, b"open")).unwrap();
+        send(&net, 1, 2, b"open").unwrap();
         assert_eq!(
             b.recv_timeout(Duration::from_secs(1)).unwrap().payload,
             Bytes::from_static(b"open")
@@ -689,42 +693,42 @@ mod tests {
     #[test]
     fn isolate_and_rejoin() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
-        let c = Endpoint::register(&net, NodeId(3)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
+        let c = inbox(&net, NodeId(3)).unwrap();
         net.isolate(NodeId(1));
-        net.send(env(1, 2, b"x")).unwrap();
-        net.send(env(1, 3, b"x")).unwrap();
+        send(&net, 1, 2, b"x").unwrap();
+        send(&net, 1, 3, b"x").unwrap();
         assert!(b.recv_timeout(Duration::from_millis(20)).is_err());
         assert!(c.recv_timeout(Duration::from_millis(20)).is_err());
         net.rejoin(NodeId(1));
-        net.send(env(1, 2, b"back")).unwrap();
+        send(&net, 1, 2, b"back").unwrap();
         assert!(b.recv_timeout(Duration::from_secs(1)).is_ok());
     }
 
     #[test]
     fn deregister_simulates_crash() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let _b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let _b = inbox(&net, NodeId(2)).unwrap();
         assert!(net.is_registered(NodeId(2)));
         net.deregister(NodeId(2));
         assert!(!net.is_registered(NodeId(2)));
         assert_eq!(
-            net.send(env(1, 2, b"x")).unwrap_err(),
+            send(&net, 1, 2, b"x").unwrap_err(),
             NetError::UnknownNode(NodeId(2))
         );
         // Re-registering models a restart.
-        let b2 = Endpoint::register(&net, NodeId(2)).unwrap();
-        net.send(env(1, 2, b"hello again")).unwrap();
+        let b2 = inbox(&net, NodeId(2)).unwrap();
+        send(&net, 1, 2, b"hello again").unwrap();
         assert!(b2.recv_timeout(Duration::from_secs(1)).is_ok());
     }
 
     #[test]
     fn fault_log_records_ordered_timeline() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let _b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let _b = inbox(&net, NodeId(2)).unwrap();
         let burst = LinkConfig::with_loss(0.9);
         net.partition(NodeId(1), NodeId(2));
         net.heal(NodeId(1), NodeId(2));
@@ -744,26 +748,26 @@ mod tests {
     #[test]
     fn default_link_change_affects_unconfigured_links() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
         net.set_default_link(LinkConfig::with_loss(1.0));
         for _ in 0..10 {
-            net.send(env(1, 2, b"gone")).unwrap();
+            send(&net, 1, 2, b"gone").unwrap();
         }
         assert!(b.recv_timeout(Duration::from_millis(20)).is_err());
         assert_eq!(net.stats().lost.load(Ordering::Relaxed), 10);
         // heal_all restores the configured default (lossless here).
         net.heal_all();
-        net.send(env(1, 2, b"back")).unwrap();
+        send(&net, 1, 2, b"back").unwrap();
         assert!(b.recv_timeout(Duration::from_secs(1)).is_ok());
     }
 
     #[test]
     fn stats_track_delivery() {
         let net = SimNet::perfect();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
-        net.send(env(1, 2, b"12345")).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
+        send(&net, 1, 2, b"12345").unwrap();
         b.recv_timeout(Duration::from_secs(1)).unwrap();
         let (sent, delivered, lost, part, dead) = net.stats().snapshot();
         assert_eq!((sent, delivered, lost, part, dead), (1, 1, 0, 0, 0));
@@ -773,8 +777,8 @@ mod tests {
     #[test]
     fn shutdown_closes_endpoints() {
         let net = SimNet::perfect();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
         drop(net);
-        assert_eq!(b.recv().unwrap_err(), NetError::Closed);
+        assert_eq!(b.recv().unwrap_err(), RecvError);
     }
 }

@@ -42,7 +42,7 @@ use std::time::Duration;
 /// make a capsule allocate unboundedly.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Frames a connection's writer queue holds before `send` blocks on it
+/// Frames a connection's writer queue holds before `send_frame` blocks on it
 /// (bounded queue = backpressure instead of unbounded memory).
 pub const WRITER_QUEUE_DEPTH: usize = 256;
 
@@ -203,7 +203,7 @@ fn write_loop(
         if !write_batch(stream, &batch, directory, to) {
             // Connection gone for good: queued frames are lost datagrams
             // (REX retransmission recovers them); the dropped receiver
-            // tells the next `send` to rebuild the connection.
+            // tells the next `send_frame` to rebuild the connection.
             return;
         }
         wire_stats().tx_batch();
@@ -288,10 +288,6 @@ impl Transport for TcpNetwork {
         self.connections
             .lock()
             .retain(|(from, to), _| *from != node && *to != node);
-    }
-
-    fn send(&self, env: Envelope) -> Result<(), NetError> {
-        self.send_frame(env.from, env.to, &env.payload)
     }
 
     fn send_frame(&self, from: NodeId, to: NodeId, payload: &[u8]) -> Result<(), NetError> {
@@ -390,19 +386,14 @@ impl std::fmt::Debug for TcpNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Endpoint;
+    use crate::transport::tests::inbox;
 
     #[test]
     fn frames_round_trip_over_loopback() {
         let net = TcpNetwork::new();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
-        net.send(Envelope::new(
-            NodeId(1),
-            NodeId(2),
-            Bytes::from_static(b"over tcp"),
-        ))
-        .unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
+        net.send_frame(NodeId(1), NodeId(2), b"over tcp").unwrap();
         let got = b.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got.payload, Bytes::from_static(b"over tcp"));
         assert_eq!(got.from, NodeId(1));
@@ -411,15 +402,11 @@ mod tests {
     #[test]
     fn many_messages_preserve_per_sender_order() {
         let net = TcpNetwork::new();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
         for i in 0..100u32 {
-            net.send(Envelope::new(
-                NodeId(1),
-                NodeId(2),
-                Bytes::copy_from_slice(&i.to_be_bytes()),
-            ))
-            .unwrap();
+            net.send_frame(NodeId(1), NodeId(2), &i.to_be_bytes())
+                .unwrap();
         }
         for i in 0..100u32 {
             let got = b.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -430,13 +417,13 @@ mod tests {
     #[test]
     fn unknown_node_and_duplicate_registration() {
         let net = TcpNetwork::new();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
         assert!(matches!(
-            net.send(Envelope::new(NodeId(1), NodeId(9), Bytes::new())),
+            net.send_frame(NodeId(1), NodeId(9), b""),
             Err(NetError::UnknownNode(_))
         ));
         assert!(matches!(
-            Endpoint::register(&net, NodeId(1)),
+            inbox(&net, NodeId(1)),
             Err(NetError::AlreadyRegistered(_))
         ));
     }
@@ -444,24 +431,14 @@ mod tests {
     #[test]
     fn bidirectional_traffic() {
         let net = TcpNetwork::new();
-        let a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
-        net.send(Envelope::new(
-            NodeId(1),
-            NodeId(2),
-            Bytes::from_static(b"ping"),
-        ))
-        .unwrap();
+        let a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
+        net.send_frame(NodeId(1), NodeId(2), b"ping").unwrap();
         assert_eq!(
             b.recv_timeout(Duration::from_secs(5)).unwrap().payload,
             Bytes::from_static(b"ping")
         );
-        net.send(Envelope::new(
-            NodeId(2),
-            NodeId(1),
-            Bytes::from_static(b"pong"),
-        ))
-        .unwrap();
+        net.send_frame(NodeId(2), NodeId(1), b"pong").unwrap();
         assert_eq!(
             a.recv_timeout(Duration::from_secs(5)).unwrap().payload,
             Bytes::from_static(b"pong")
@@ -471,19 +448,17 @@ mod tests {
     #[test]
     fn deregistered_node_unreachable() {
         let net = TcpNetwork::new();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let _b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let _b = inbox(&net, NodeId(2)).unwrap();
         net.deregister(NodeId(2));
         assert!(!net.is_registered(NodeId(2)));
-        assert!(net
-            .send(Envelope::new(NodeId(1), NodeId(2), Bytes::new()))
-            .is_err());
+        assert!(net.send_frame(NodeId(1), NodeId(2), b"").is_err());
     }
 
     #[test]
     fn refused_connection_surfaces_unreachable() {
         let net = TcpNetwork::new();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
         // A port that was just bound and released: connecting to it is
         // refused (nothing listens), modelling a peer whose process died.
         let dead = TcpListener::bind("127.0.0.1:0")
@@ -498,8 +473,7 @@ mod tests {
             },
         );
         assert_eq!(
-            net.send(Envelope::new(NodeId(1), NodeId(9), Bytes::new()))
-                .unwrap_err(),
+            net.send_frame(NodeId(1), NodeId(9), b"").unwrap_err(),
             NetError::Unreachable(NodeId(9))
         );
     }
@@ -507,14 +481,9 @@ mod tests {
     #[test]
     fn send_reconnects_after_reset() {
         let net = TcpNetwork::new();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
-        net.send(Envelope::new(
-            NodeId(1),
-            NodeId(2),
-            Bytes::from_static(b"warm"),
-        ))
-        .unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
+        net.send_frame(NodeId(1), NodeId(2), b"warm").unwrap();
         b.recv_timeout(Duration::from_secs(5)).unwrap();
         // Kill the cached stream under the cache's feet: the next write
         // fails with the connection-reset family and must transparently
@@ -529,12 +498,7 @@ mod tests {
             .lock()
             .shutdown(std::net::Shutdown::Both)
             .unwrap();
-        net.send(Envelope::new(
-            NodeId(1),
-            NodeId(2),
-            Bytes::from_static(b"again"),
-        ))
-        .unwrap();
+        net.send_frame(NodeId(1), NodeId(2), b"again").unwrap();
         let got = b.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got.payload, Bytes::from_static(b"again"));
     }
@@ -542,8 +506,8 @@ mod tests {
     #[test]
     fn writer_coalesces_queued_frames() {
         let net = TcpNetwork::new();
-        let _a = Endpoint::register(&net, NodeId(1)).unwrap();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let _a = inbox(&net, NodeId(1)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
         let before = wire_stats().snapshot();
         for i in 0..64u32 {
             net.send_frame(NodeId(1), NodeId(2), &i.to_be_bytes())
@@ -565,7 +529,7 @@ mod tests {
         // Hand-craft a frame claiming MAX_FRAME+1 bytes; reader must drop
         // the connection, not allocate.
         let net = TcpNetwork::new();
-        let b = Endpoint::register(&net, NodeId(2)).unwrap();
+        let b = inbox(&net, NodeId(2)).unwrap();
         let addr = net.addr_of(NodeId(2)).unwrap();
         let mut s = TcpStream::connect(addr).unwrap();
         let mut header = [0u8; 12];

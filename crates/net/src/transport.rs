@@ -1,17 +1,18 @@
 //! The transport abstraction: node-addressed datagram delivery.
 //!
 //! A transport provides *unreliable, unordered* delivery of opaque payloads
-//! between registered nodes. Reliability, ordering and execution semantics
-//! belong to the layers above ([`crate::rex`], group protocols): keeping the
-//! base contract weak is what makes simulated, TCP and future transports
-//! interchangeable behind the same engineering interface.
+//! between registered nodes. It has one way in and one way out: a sender
+//! hands it a borrowed frame ([`Transport::send_frame`]), and it calls the
+//! destination's [`FrameSink`] with an owned [`Envelope`]. Reliability,
+//! ordering and execution semantics belong to the layers above
+//! ([`crate::rex`], media streams): keeping the base contract weak is what
+//! makes simulated and TCP transports interchangeable behind the same
+//! engineering interface.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, TryRecvError};
 use odp_types::NodeId;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One message in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,77 +73,8 @@ impl std::error::Error for NetError {}
 /// thread on SimNet's zero-delay path, SimNet's pump for delayed frames,
 /// a connection's reader thread over TCP. It must not block, and it must
 /// not take a lock that a sender may hold while calling
-/// [`Transport::send`]: the send may be the call that runs it.
+/// [`Transport::send_frame`]: the send may be the call that runs it.
 pub type FrameSink = Arc<dyn Fn(Envelope) + Send + Sync>;
-
-/// A queue-backed receiving side, for code that wants to pull frames
-/// rather than be called with them (tests, tools). Protocol engines
-/// register a [`FrameSink`] of their own instead.
-#[derive(Debug)]
-pub struct Endpoint {
-    node: NodeId,
-    rx: Receiver<Envelope>,
-}
-
-impl Endpoint {
-    /// Registers `node` on `transport` with a sink that queues every frame
-    /// for [`Endpoint::recv`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`NetError`] from [`Transport::register`].
-    pub fn register(transport: &dyn Transport, node: NodeId) -> Result<Self, NetError> {
-        // odp-lint: allow(l7, reason = "pull-side adapter for tests and tools; its owner drains it")
-        let (tx, rx) = unbounded();
-        transport.register(
-            node,
-            Arc::new(move |env| {
-                // odp-lint: allow(l6, reason = "a dropped endpoint discards late frames, as a deregistered node would")
-                let _ = tx.send(env);
-            }),
-        )?;
-        Ok(Self { node, rx })
-    }
-
-    /// The node this endpoint receives for.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Blocks until a message arrives.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Closed`] once the transport has dropped the sink.
-    pub fn recv(&self) -> Result<Envelope, NetError> {
-        self.rx.recv().map_err(|_| NetError::Closed)
-    }
-
-    /// Blocks up to `timeout` for a message.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] on expiry, [`NetError::Closed`] on shutdown.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => NetError::Closed,
-        })
-    }
-
-    /// Non-blocking receive.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Timeout`] if empty, [`NetError::Closed`] on shutdown.
-    pub fn try_recv(&self) -> Result<Envelope, NetError> {
-        self.rx.try_recv().map_err(|e| match e {
-            TryRecvError::Empty => NetError::Timeout,
-            TryRecvError::Disconnected => NetError::Closed,
-        })
-    }
-}
 
 /// Node-addressed datagram transport.
 ///
@@ -163,66 +95,43 @@ pub trait Transport: Send + Sync {
     /// frame already being delivered may still reach the old sink.
     fn deregister(&self, node: NodeId);
 
-    /// Sends one message. Delivery is best-effort: a returned `Ok` means
-    /// the message was *accepted*, not that it will arrive.
+    /// Sends one message whose payload the caller still owns (typically a
+    /// pooled encode buffer). Delivery is best-effort: a returned `Ok`
+    /// means the message was *accepted*, not that it will arrive. SimNet
+    /// copies the slice into the [`Envelope`] it delivers; TCP writes it
+    /// straight into its length-prefixed frame.
     ///
     /// # Errors
     ///
     /// [`NetError::UnknownNode`] if the destination was never registered,
+    /// [`NetError::Unreachable`] if it refuses connections,
     /// [`NetError::Closed`] after shutdown.
-    fn send(&self, env: Envelope) -> Result<(), NetError>;
-
-    /// Sends one message whose payload the caller still owns (typically a
-    /// pooled encode buffer). The default implementation copies the slice
-    /// into an [`Envelope`]; transports with their own framing (TCP)
-    /// override it to write straight from the borrowed slice, so the hot
-    /// path never materializes an intermediate `Bytes`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Transport::send`].
-    fn send_frame(&self, from: NodeId, to: NodeId, payload: &[u8]) -> Result<(), NetError> {
-        self.send(Envelope::new(from, to, Bytes::copy_from_slice(payload)))
-    }
+    fn send_frame(&self, from: NodeId, to: NodeId, payload: &[u8]) -> Result<(), NetError>;
 
     /// True if `node` is currently registered.
     fn is_registered(&self, node: NodeId) -> bool;
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::sim::SimNet;
+    use crossbeam::channel::{unbounded, Receiver};
 
-    fn send(net: &SimNet, msg: &'static [u8]) {
-        net.send(Envelope::new(NodeId(2), NodeId(1), Bytes::from_static(msg)))
-            .unwrap();
-    }
-
-    #[test]
-    fn endpoint_receives_in_order_from_channel() {
-        let net = SimNet::perfect();
-        let ep = Endpoint::register(&net, NodeId(1)).unwrap();
-        send(&net, b"a");
-        send(&net, b"b");
-        assert_eq!(ep.recv().unwrap().payload, Bytes::from_static(b"a"));
-        assert_eq!(ep.recv().unwrap().payload, Bytes::from_static(b"b"));
-        assert_eq!(ep.node(), NodeId(1));
-    }
-
-    #[test]
-    fn endpoint_timeout_and_close() {
-        let net = SimNet::perfect();
-        let ep = Endpoint::register(&net, NodeId(1)).unwrap();
-        assert_eq!(
-            ep.recv_timeout(Duration::from_millis(5)).unwrap_err(),
-            NetError::Timeout
-        );
-        assert_eq!(ep.try_recv().unwrap_err(), NetError::Timeout);
-        // Deregistering drops the sink, and with it the queue's only sender.
-        net.deregister(NodeId(1));
-        assert_eq!(ep.recv().unwrap_err(), NetError::Closed);
-        assert_eq!(ep.try_recv().unwrap_err(), NetError::Closed);
+    /// Registers `node` with a sink that queues every frame, for tests that
+    /// pull frames rather than being called with them. Deregistering the
+    /// node drops the sink and disconnects the queue.
+    pub(crate) fn inbox(
+        transport: &dyn Transport,
+        node: NodeId,
+    ) -> Result<Receiver<Envelope>, NetError> {
+        let (tx, rx) = unbounded();
+        transport.register(
+            node,
+            Arc::new(move |env| {
+                let _ = tx.send(env);
+            }),
+        )?;
+        Ok(rx)
     }
 
     #[test]

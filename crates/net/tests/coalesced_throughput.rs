@@ -8,6 +8,7 @@
 //! connection must beat one thread's aggregate rate by at least 3×.
 
 use odp_net::{CallQos, RexEndpoint, TcpNetwork, Transport};
+use odp_telemetry::TraceContext;
 use odp_types::{InterfaceId, NodeId};
 use odp_wire::PooledBuf;
 use std::sync::Arc;
@@ -30,7 +31,14 @@ fn aggregate_rate(client: &Arc<RexEndpoint>, threads: usize, per_thread: usize) 
                 for i in 0..per_thread {
                     let body = (i as u64).to_be_bytes();
                     let reply = client
-                        .call(NodeId(2), InterfaceId(1), "echo", &body, qos())
+                        .call(
+                            NodeId(2),
+                            InterfaceId(1),
+                            "echo",
+                            &body,
+                            qos(),
+                            TraceContext::NONE,
+                        )
                         .expect("echo call");
                     assert_eq!(&reply[..], &body[..]);
                 }

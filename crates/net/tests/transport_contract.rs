@@ -4,32 +4,41 @@
 //! protocols by which an interface can be accessed").
 
 use bytes::Bytes;
+use crossbeam::channel::{unbounded, Receiver};
 use odp_net::{
-    CallQos, Endpoint, Envelope, LinkConfig, NetError, RexEndpoint, SimNet, SimNetConfig,
-    TcpNetwork, Transport,
+    CallQos, Envelope, LinkConfig, NetError, RexEndpoint, SimNet, SimNetConfig, TcpNetwork,
+    Transport,
 };
+use odp_telemetry::TraceContext;
 use odp_types::{InterfaceId, NodeId};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Registers `node` with a sink that queues every frame for the test to
+/// pull.
+fn inbox(transport: &dyn Transport, node: NodeId) -> Result<Receiver<Envelope>, NetError> {
+    let (tx, rx) = unbounded();
+    transport.register(
+        node,
+        Arc::new(move |env| {
+            let _ = tx.send(env);
+        }),
+    )?;
+    Ok(rx)
+}
+
 fn contract(transport: Arc<dyn Transport>, label: &str) {
     // Registration uniqueness.
-    let a = Endpoint::register(&*transport, NodeId(1)).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let a = inbox(&*transport, NodeId(1)).unwrap_or_else(|e| panic!("{label}: {e}"));
     assert!(matches!(
-        Endpoint::register(&*transport, NodeId(1)),
+        inbox(&*transport, NodeId(1)),
         Err(NetError::AlreadyRegistered(_))
     ));
-    let b = Endpoint::register(&*transport, NodeId(2)).unwrap();
+    let b = inbox(&*transport, NodeId(2)).unwrap();
     assert!(transport.is_registered(NodeId(1)));
 
     // Point-to-point delivery with sender identity.
-    transport
-        .send(Envelope::new(
-            NodeId(1),
-            NodeId(2),
-            Bytes::from_static(b"m1"),
-        ))
-        .unwrap();
+    transport.send_frame(NodeId(1), NodeId(2), b"m1").unwrap();
     let got = b.recv_timeout(Duration::from_secs(5)).unwrap();
     assert_eq!(got.from, NodeId(1));
     assert_eq!(got.to, NodeId(2));
@@ -38,13 +47,7 @@ fn contract(transport: Arc<dyn Transport>, label: &str) {
     // Per-sender FIFO (both implementations provide it; REX does not
     // require it but group relays benefit).
     for i in 0..50u8 {
-        transport
-            .send(Envelope::new(
-                NodeId(1),
-                NodeId(2),
-                Bytes::copy_from_slice(&[i]),
-            ))
-            .unwrap();
+        transport.send_frame(NodeId(1), NodeId(2), &[i]).unwrap();
     }
     for i in 0..50u8 {
         assert_eq!(
@@ -56,24 +59,16 @@ fn contract(transport: Arc<dyn Transport>, label: &str) {
 
     // Unknown destinations fail fast.
     assert!(matches!(
-        transport.send(Envelope::new(NodeId(1), NodeId(9), Bytes::new())),
+        transport.send_frame(NodeId(1), NodeId(9), b""),
         Err(NetError::UnknownNode(_))
     ));
 
     // Deregistration makes a node unreachable; re-registration revives it.
     transport.deregister(NodeId(2));
     assert!(!transport.is_registered(NodeId(2)));
-    assert!(transport
-        .send(Envelope::new(NodeId(1), NodeId(2), Bytes::new()))
-        .is_err());
-    let b2 = Endpoint::register(&*transport, NodeId(2)).unwrap();
-    transport
-        .send(Envelope::new(
-            NodeId(1),
-            NodeId(2),
-            Bytes::from_static(b"back"),
-        ))
-        .unwrap();
+    assert!(transport.send_frame(NodeId(1), NodeId(2), b"").is_err());
+    let b2 = inbox(&*transport, NodeId(2)).unwrap();
+    transport.send_frame(NodeId(1), NodeId(2), b"back").unwrap();
     assert_eq!(
         b2.recv_timeout(Duration::from_secs(5)).unwrap().payload,
         Bytes::from_static(b"back"),
@@ -97,7 +92,7 @@ fn tcp_satisfies_the_contract() {
 /// delayed) or on a reader thread (TCP); none of them may hold a lock
 /// that `send` or `is_registered` needs.
 fn sink_may_reenter(transport: Arc<dyn Transport>, label: &'static str) {
-    let client = Endpoint::register(&*transport, NodeId(1)).unwrap();
+    let client = inbox(&*transport, NodeId(1)).unwrap();
     let weak = Arc::downgrade(&transport);
     transport
         .register(
@@ -105,7 +100,7 @@ fn sink_may_reenter(transport: Arc<dyn Transport>, label: &'static str) {
             Arc::new(move |env: Envelope| {
                 let Some(t) = weak.upgrade() else { return };
                 if t.is_registered(env.from) {
-                    t.send(Envelope::new(env.to, env.from, env.payload))
+                    t.send_frame(env.to, env.from, &env.payload)
                         .expect("bounce");
                 }
             }),
@@ -114,13 +109,7 @@ fn sink_may_reenter(transport: Arc<dyn Transport>, label: &'static str) {
     let (done_tx, done_rx) = crossbeam::channel::bounded(1);
     std::thread::spawn(move || {
         for i in 0..50u8 {
-            transport
-                .send(Envelope::new(
-                    NodeId(1),
-                    NodeId(2),
-                    Bytes::copy_from_slice(&[i]),
-                ))
-                .unwrap();
+            transport.send_frame(NodeId(1), NodeId(2), &[i]).unwrap();
             let got = client
                 .recv_timeout(Duration::from_secs(5))
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
@@ -166,6 +155,7 @@ fn rex_over(transport: Arc<dyn Transport>, label: &str) {
                 "rev",
                 payload,
                 CallQos::with_deadline(Duration::from_secs(5)),
+                TraceContext::NONE,
             )
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         let mut expect = payload.to_vec();
@@ -212,7 +202,14 @@ fn at_most_once_across_seeds() {
         for i in 0..20u64 {
             let body = i.to_be_bytes();
             let reply = client
-                .call(NodeId(2), InterfaceId(1), "echo", &body, qos)
+                .call(
+                    NodeId(2),
+                    InterfaceId(1),
+                    "echo",
+                    &body,
+                    qos,
+                    TraceContext::NONE,
+                )
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(reply, Bytes::copy_from_slice(&body));
         }

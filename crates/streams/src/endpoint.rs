@@ -132,11 +132,8 @@ impl StreamEndpoint {
     /// the QoS monitor observes the resulting loss).
     pub fn send(&self, to: NodeId, frame: &Frame) -> Result<(), NetError> {
         self.sent.fetch_add(1, Ordering::Relaxed);
-        self.transport.send(Envelope::new(
-            stream_node(self.node),
-            stream_node(to),
-            frame.encode(),
-        ))
+        self.transport
+            .send_frame(stream_node(self.node), stream_node(to), &frame.encode())
     }
 
     /// Shuts the endpoint down. Idempotent.

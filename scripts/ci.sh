@@ -35,11 +35,15 @@ cargo run -q -p odp --release --example trace_demo
 cargo run -q -p odp-bench --release --bin odp_top -- --demo --iterations 3 --plain
 
 echo "== repository benchmark smoke =="
-# Short traced runs of the benchmark's workloads: a failed correctness
-# check on any answer or on the final state exits non-zero.
-for workload in rpc_small ledger_local; do
-    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 2 --trace 1
+# Short runs of the benchmark's workloads in both modes: `--trace 0` uses
+# the plain binding the gated runs measure, `--trace 1` the benchmark's
+# hand-assembled traced binding. A failed correctness check on any answer
+# or on the final state exits non-zero.
+for trace in 0 1; do
+    for workload in rpc_small ledger_local; do
+        cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 2 --trace "$trace"
+    done
 done
 
 echo "ci: clean"
