@@ -52,7 +52,8 @@ pub struct AdmissionPolicy {
     pub queue_capacity: usize,
     /// Back-off hint stamped into every rejection.
     pub retry_after: Duration,
-    /// Queue-wait cap for calls that carry no deadline of their own.
+    /// Queue-wait cap for every queued call: it waits until its own
+    /// deadline or this long, whichever comes first.
     pub max_wait: Duration,
 }
 
@@ -301,7 +302,7 @@ impl ServerLayer for AdmissionLayer {
                 Self::queue(&mut state, pri).push_back(ticket);
                 self.gauge(pri).enter();
                 // 5. Wait for our turn, bounded by the call's own deadline
-                //    (or the policy's cap when it has none).
+                //    and by the policy's cap, whichever comes first.
                 let give_up = ctx
                     .deadline
                     .unwrap_or_else(|| now + self.policy.max_wait)

@@ -25,7 +25,7 @@
 //!   exported interfaces can be dispatched fully concurrently or serialized.
 
 use crate::invocation::{
-    AccessLayer, CallRequest, ClientBinding, InvokeError, Join, ServerLayer, ServerNext, Site,
+    self, AccessLayer, CallRequest, ClientBinding, InvokeError, Join, ServerLayer, ServerNext, Site,
 };
 use crate::object::{self, terminations, CallCtx, Outcome, Servant};
 use crate::transparency::TransparencyPolicy;
@@ -437,7 +437,7 @@ impl Capsule {
             annotations: req.annotations,
             trace: req.trace,
             priority: req.qos.priority,
-            deadline: req.deadline,
+            deadline: Some(req.deadline),
         };
         self.dispatch_entry(&mut ctx, &req.op, req.args)
     }
@@ -509,29 +509,17 @@ impl Capsule {
                     // Signature checks at the dispatcher, on every call: the
                     // caller checked against its own reference, which may
                     // not match the export (a stale or forged signature).
-                    let Some(op_sig) = ty.operation(op) else {
-                        return Outcome::engineering(
-                            terminations::NO_SUCH_OPERATION,
-                            vec![Value::str(op)],
-                        );
-                    };
-                    if args.len() != op_sig.params.len() {
-                        return Outcome::engineering(
-                            terminations::TYPE_ERROR,
-                            vec![Value::str(format!(
-                                "expected {} args, got {}",
-                                op_sig.params.len(),
-                                args.len()
-                            ))],
-                        );
-                    }
-                    for (arg, spec) in args.iter().zip(&op_sig.params) {
-                        if let Err(e) = odp_wire::check_value(arg, spec) {
-                            return Outcome::engineering(
+                    if let Err(e) = invocation::check_call(ty, op, ctx.announcement, &args) {
+                        return match e {
+                            InvokeError::NoSuchOperation(op) => Outcome::engineering(
+                                terminations::NO_SUCH_OPERATION,
+                                vec![Value::str(op)],
+                            ),
+                            e => Outcome::engineering(
                                 terminations::TYPE_ERROR,
                                 vec![Value::str(e.to_string())],
-                            );
-                        }
+                            ),
+                        };
                     }
                     (Arc::clone(servant), Arc::clone(config), Arc::clone(serial))
                 }

@@ -10,6 +10,15 @@
 //! for co-located data — trading off flexibility and portability against
 //! performance", §4.5).
 //!
+//! Below the stub every layer sees one contract: a call that the
+//! infrastructure could not complete is an `Err`, never an `Ok` outcome.
+//! The access layer maps reserved `__…` terminations to typed
+//! [`InvokeError`]s once, so the retry, breaker, location and group layers
+//! react to `Rejected`, `Stale` or `NoSuchInterface` without comparing
+//! strings; a reserved name the enum does not model arrives intact as
+//! [`InvokeError::Unhandled`]. Every request carries one absolute deadline,
+//! stamped by the stub.
+//!
 //! Server-side interception mirrors the client stack: [`ServerLayer`]s
 //! installed at export time wrap the servant (security guards, concurrency
 //! control managers — both are "generated" from declarative statements in
@@ -19,13 +28,13 @@ use crate::capsule::Capsule;
 use crate::object::{self, terminations, CallCtx, Outcome};
 use odp_net::{CallQos, RexError};
 use odp_telemetry::{LayerMetrics, SpanRecord, TraceContext};
-use odp_types::{conformance, ConformanceError, InterfaceId, NodeId, OperationKind};
+use odp_types::{conformance, ConformanceError, InterfaceId, InterfaceType, NodeId, OperationKind};
 use odp_wire::{InterfaceRef, TypeCheckError, Value};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Weak};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One in-flight invocation as seen by the layer stack.
 #[derive(Debug, Clone)]
@@ -47,7 +56,7 @@ pub struct CallRequest {
     /// replication fan-out) must respect it, and the access layer clamps
     /// each attempt's QoS to the remaining budget, so stacked retries can
     /// never exceed the caller's total deadline.
-    pub deadline: Option<Instant>,
+    pub deadline: Instant,
     /// Trace context for this request. The stub stamps a fresh (or
     /// inherited) context when telemetry is recording; each instrumented
     /// layer rewrites it to its own child span before delegating, so the
@@ -57,12 +66,11 @@ pub struct CallRequest {
 }
 
 impl CallRequest {
-    /// The time left before [`CallRequest::deadline`], or `None` if no
-    /// deadline was stamped. `Some(ZERO)` means the budget is spent.
+    /// The time left before [`CallRequest::deadline`]; `ZERO` means the
+    /// budget is spent.
     #[must_use]
-    pub fn remaining_budget(&self) -> Option<std::time::Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
+    pub fn remaining_budget(&self) -> Duration {
+        self.deadline.saturating_duration_since(Instant::now())
     }
 }
 
@@ -108,7 +116,7 @@ pub enum InvokeError {
     /// the overload — honor `retry_after` instead.
     Rejected {
         /// Server's back-off hint before re-offering the call.
-        retry_after: std::time::Duration,
+        retry_after: Duration,
     },
     /// A security guard refused the interaction (§7.1).
     Denied(String),
@@ -120,6 +128,10 @@ pub enum InvokeError {
     NotConformant(ConformanceError),
     /// Reply or request bytes did not decode.
     Protocol(String),
+    /// The server answered with a reserved termination this enum does not
+    /// model (`__passive`, a group's `__grp_not_sequencer`…). The outcome
+    /// is kept so the layer that owns the name can read it.
+    Unhandled(Outcome),
 }
 
 impl fmt::Display for InvokeError {
@@ -148,6 +160,9 @@ impl fmt::Display for InvokeError {
             InvokeError::RemoteTypeError(why) => write!(f, "server rejected arguments: {why}"),
             InvokeError::NotConformant(e) => write!(f, "signature mismatch: {e}"),
             InvokeError::Protocol(why) => write!(f, "protocol error: {why}"),
+            InvokeError::Unhandled(o) => {
+                write!(f, "unhandled engineering termination `{}`", o.termination)
+            }
         }
     }
 }
@@ -228,51 +243,22 @@ impl AccessLayer {
     ///
     /// # Errors
     ///
-    /// Engineering failures as [`InvokeError`]; engineering *terminations*
-    /// (`__moved` etc.) are returned as `Ok` outcomes so that layers above
-    /// can react to them.
+    /// Every engineering failure, including a reserved termination the
+    /// server answered with, which is mapped here and nowhere else: an
+    /// `Ok` outcome from here is never an engineering one.
     pub fn invoke_base(&self, req: CallRequest) -> Result<Outcome, InvokeError> {
         let capsule = self.capsule()?;
         // Deadline propagation: clamp this attempt's QoS to what is left of
         // the caller's end-to-end budget (and fail fast if it is spent).
-        let mut qos = req.qos;
-        if let Some(remaining) = req.remaining_budget() {
-            if remaining.is_zero() {
-                return Err(InvokeError::Rex(RexError::Timeout));
-            }
-            qos = qos.clamp_to(remaining);
+        let remaining = req.remaining_budget();
+        if remaining.is_zero() {
+            return Err(InvokeError::Rex(RexError::Timeout));
         }
-        // Client-side signature checks: the paper requires "prior agreement
-        // that the client activity is requesting an operation provided by
-        // the server interface" (§5.1).
-        let op_sig = req
-            .target
-            .ty
-            .operation(&req.op)
-            .ok_or_else(|| InvokeError::NoSuchOperation(req.op.clone()))?;
-        let expected_kind = if req.announcement {
-            OperationKind::Announcement
-        } else {
-            OperationKind::Interrogation
-        };
-        if op_sig.kind != expected_kind {
-            return Err(InvokeError::KindMismatch {
-                op: req.op.clone(),
-                declared: op_sig.kind,
-            });
-        }
-        if req.args.len() != op_sig.params.len() {
-            return Err(InvokeError::TypeCheck(TypeCheckError::ArityMismatch {
-                expected: op_sig.params.len(),
-                actual: req.args.len(),
-            }));
-        }
-        for (i, (arg, spec)) in req.args.iter().zip(&op_sig.params).enumerate() {
-            odp_wire::check_value(arg, spec)
-                .map_err(|e| InvokeError::TypeCheck(e.at_position(i)))?;
-        }
+        let qos = req.qos.clamp_to(remaining);
+        check_call(&req.target.ty, &req.op, req.announcement, &req.args)?;
 
-        let local = req.target.home == capsule.node() && capsule.has_export(req.target.iface);
+        let iface = req.target.iface;
+        let local = req.target.home == capsule.node() && capsule.has_export(iface);
         if local && !self.force_remote {
             capsule.count_local_fast_path();
             if req.announcement {
@@ -295,7 +281,7 @@ impl AccessLayer {
                 }
                 return Ok(Outcome::ok(vec![]));
             }
-            return Ok(capsule.dispatch_entry_owned(req, false));
+            return interpret(iface, capsule.dispatch_entry_owned(req, false));
         }
 
         // Remote (or forced-remote loopback) path: marshal into a pooled
@@ -315,8 +301,92 @@ impl AccessLayer {
             qos,
             req.trace,
         )?;
-        object::decode_outcome_frame(&reply).map_err(InvokeError::Protocol)
+        interpret(
+            iface,
+            object::decode_outcome_frame(&reply).map_err(InvokeError::Protocol)?,
+        )
     }
+}
+
+/// The one signature check of a call, run by the access layer against the
+/// caller's reference and by the dispatcher against the export (which the
+/// reference may misdescribe): §5.1 requires "prior agreement that the
+/// client activity is requesting an operation provided by the server
+/// interface" — its name, its kind and its argument types.
+pub(crate) fn check_call(
+    ty: &InterfaceType,
+    op: &str,
+    announcement: bool,
+    args: &[Value],
+) -> Result<(), InvokeError> {
+    let sig = ty
+        .operation(op)
+        .ok_or_else(|| InvokeError::NoSuchOperation(op.to_owned()))?;
+    let kind = if announcement {
+        OperationKind::Announcement
+    } else {
+        OperationKind::Interrogation
+    };
+    if sig.kind != kind {
+        return Err(InvokeError::KindMismatch {
+            op: op.to_owned(),
+            declared: sig.kind,
+        });
+    }
+    if args.len() != sig.params.len() {
+        return Err(InvokeError::TypeCheck(TypeCheckError::ArityMismatch {
+            expected: sig.params.len(),
+            actual: args.len(),
+        }));
+    }
+    for (i, (arg, spec)) in args.iter().zip(&sig.params).enumerate() {
+        odp_wire::check_value(arg, spec).map_err(|e| InvokeError::TypeCheck(e.at_position(i)))?;
+    }
+    Ok(())
+}
+
+/// Decodes a `[Int(node), Int(epoch)]` location, as a `__moved` tombstone
+/// and the relocator's lookup answer carry it.
+pub(crate) fn location_of(results: &[Value]) -> Option<(NodeId, u64)> {
+    match results {
+        [Value::Int(node), Value::Int(epoch), ..] => Some((NodeId(*node as u64), *epoch as u64)),
+        _ => None,
+    }
+}
+
+/// Maps a reserved engineering termination to its [`InvokeError`]; an
+/// application outcome passes through.
+fn interpret(iface: InterfaceId, outcome: Outcome) -> Result<Outcome, InvokeError> {
+    if !outcome.is_engineering() {
+        return Ok(outcome);
+    }
+    let why = || {
+        outcome
+            .result()
+            .and_then(Value::as_str)
+            .unwrap_or("")
+            .to_owned()
+    };
+    Err(match outcome.termination.as_str() {
+        terminations::NO_SUCH_INTERFACE => InvokeError::NoSuchInterface(iface),
+        terminations::NO_SUCH_OPERATION => InvokeError::NoSuchOperation(why()),
+        terminations::CLOSED => InvokeError::Closed(iface),
+        terminations::MOVED => InvokeError::Stale {
+            iface,
+            hint: location_of(&outcome.results),
+        },
+        terminations::TYPE_ERROR => InvokeError::RemoteTypeError(why()),
+        terminations::DENIED => InvokeError::Denied(why()),
+        terminations::ABORTED => InvokeError::Aborted(why()),
+        terminations::REJECTED => InvokeError::Rejected {
+            retry_after: odp_wire::overload::parse_rejection(
+                &outcome.termination,
+                &outcome.results,
+            )
+            .unwrap_or_default(),
+        },
+        _ => InvokeError::Unhandled(outcome),
+    })
 }
 
 impl fmt::Debug for AccessLayer {
@@ -560,9 +630,8 @@ impl ClientBinding {
 
     /// Performs an interrogation and returns its outcome.
     ///
-    /// Residual engineering terminations are converted to [`InvokeError`]s
-    /// here, after every selected transparency layer has had its chance to
-    /// absorb them.
+    /// An engineering termination no selected transparency layer absorbed
+    /// arrives as the [`InvokeError`] the access layer mapped it to.
     ///
     /// # Errors
     ///
@@ -582,10 +651,8 @@ impl ClientBinding {
         args: Vec<Value>,
         annotations: BTreeMap<String, Value>,
     ) -> Result<Outcome, InvokeError> {
-        let target = self.target();
-        let iface = target.iface;
         let req = CallRequest {
-            target,
+            target: self.target(),
             op: op.to_owned(),
             args,
             annotations,
@@ -593,11 +660,10 @@ impl ClientBinding {
             announcement: false,
             // The binding's QoS deadline is the caller's end-to-end budget:
             // stamp it once here so every layer below shares the same clock.
-            deadline: Some(Instant::now() + self.default_qos.deadline),
+            deadline: Instant::now() + self.default_qos.deadline,
             trace: TraceContext::NONE,
         };
-        let outcome = self.invoke_traced(req)?;
-        Self::interpret(iface, outcome)
+        self.invoke_traced(req)
     }
 
     /// Sends an announcement.
@@ -613,49 +679,11 @@ impl ClientBinding {
             annotations: BTreeMap::new(),
             qos: self.default_qos,
             announcement: true,
-            deadline: Some(Instant::now() + self.default_qos.deadline),
+            deadline: Instant::now() + self.default_qos.deadline,
             trace: TraceContext::NONE,
         };
         self.invoke_traced(req)?;
         Ok(())
-    }
-
-    fn interpret(iface: InterfaceId, outcome: Outcome) -> Result<Outcome, InvokeError> {
-        if !outcome.is_engineering() {
-            return Ok(outcome);
-        }
-        let first_str = outcome
-            .result()
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_owned();
-        match outcome.termination.as_str() {
-            terminations::NO_SUCH_INTERFACE => Err(InvokeError::NoSuchInterface(iface)),
-            terminations::NO_SUCH_OPERATION => Err(InvokeError::NoSuchOperation(first_str)),
-            terminations::CLOSED => Err(InvokeError::Closed(iface)),
-            terminations::MOVED => {
-                let hint = match (outcome.results.first(), outcome.results.get(1)) {
-                    (Some(Value::Int(node)), Some(Value::Int(epoch))) => {
-                        Some((NodeId(*node as u64), *epoch as u64))
-                    }
-                    _ => None,
-                };
-                Err(InvokeError::Stale { iface, hint })
-            }
-            terminations::TYPE_ERROR => Err(InvokeError::RemoteTypeError(first_str)),
-            terminations::DENIED => Err(InvokeError::Denied(first_str)),
-            terminations::ABORTED => Err(InvokeError::Aborted(first_str)),
-            terminations::REJECTED => Err(InvokeError::Rejected {
-                retry_after: odp_wire::overload::parse_rejection(
-                    &outcome.termination,
-                    &outcome.results,
-                )
-                .unwrap_or_default(),
-            }),
-            other => Err(InvokeError::Protocol(format!(
-                "unhandled engineering termination `{other}`"
-            ))),
-        }
     }
 }
 

@@ -176,12 +176,6 @@ impl CallCtx {
             .and_then(Value::as_int)
             .map(|i| TxnId(i as u64))
     }
-
-    /// Sets the transaction annotation.
-    pub fn set_txn(&mut self, txn: TxnId) {
-        self.annotations
-            .insert(Self::TXN_KEY.to_owned(), Value::Int(txn.raw() as i64));
-    }
 }
 
 /// An ADT implementation: the data plus its operations.
@@ -424,7 +418,8 @@ mod tests {
     fn call_ctx_txn_annotation() {
         let mut ctx = CallCtx::default();
         assert_eq!(ctx.txn(), None);
-        ctx.set_txn(TxnId(9));
+        ctx.annotations
+            .insert(CallCtx::TXN_KEY.to_owned(), Value::Int(9));
         assert_eq!(ctx.txn(), Some(TxnId(9)));
     }
 

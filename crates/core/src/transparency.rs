@@ -10,27 +10,32 @@
 //!
 //! Built-in layers:
 //!
-//! * [`LocationLayer`] — location transparency (§5.4): reacts to `__moved`
-//!   forwarding tombstones and to unreachable/timeout failures by consulting
-//!   the relocation service, updating the shared reference **in place**
-//!   (every holder of the binding learns the new location), and retrying.
+//! * [`LocationLayer`] — location transparency (§5.4): follows the hint of
+//!   an [`InvokeError::Stale`] (a forwarding tombstone), and on
+//!   `NoSuchInterface`, unreachable or timeout failures consults the
+//!   relocation service, updating the shared reference **in place** (every
+//!   holder of the binding learns the new location), and retrying.
 //! * [`RetryLayer`] — the client half of failure transparency (§5.5):
 //!   bounded retries with decorrelated-jitter backoff, metered by a
 //!   per-binding [`RetryBudget`] and clamped to the caller's end-to-end
 //!   deadline. (The server half — checkpoints and recovery — lives in
 //!   `odp-storage`.)
 //! * [`CircuitBreakerLayer`] — the load-shedding half of failure
-//!   transparency: after a run of consecutive communication failures the
-//!   breaker opens and sheds calls locally; after a cooldown one half-open
-//!   probe is admitted, and a probe success closes the breaker again.
+//!   transparency: after a run of consecutive communication failures or
+//!   server sheds ([`InvokeError::Rejected`]) the breaker opens and sheds
+//!   calls locally; after a cooldown one half-open probe is admitted, and a
+//!   probe success closes the breaker again.
+//!
+//! Each layer reacts to typed [`InvokeError`]s only: the access layer has
+//! already turned every reserved engineering termination into one.
 //!
 //! Crates higher in the platform contribute further layers (replication
 //! fan-out in `odp-groups`, guards in `odp-security`, boundary interception
 //! in `odp-federation`) through [`TransparencyPolicy::custom_layers`].
 
 use crate::capsule::Capsule;
-use crate::invocation::{CallRequest, ClientLayer, ClientNext, InvokeError};
-use crate::object::{terminations, Outcome};
+use crate::invocation::{self, CallRequest, ClientLayer, ClientNext, InvokeError};
+use crate::object::Outcome;
 use crate::relocator::RELOCATOR_OP_LOOKUP;
 use odp_net::{CallQos, RexError};
 use odp_wire::{InterfaceRef, Value};
@@ -50,9 +55,8 @@ pub struct RetryPolicy {
     pub backoff: Duration,
     /// Ceiling for any single backoff sleep.
     pub max_backoff: Duration,
-    /// Token capacity of the per-binding [`RetryBudget`]; `None` disables
-    /// budgeting (every failure may use all `max_retries`).
-    pub budget: Option<u32>,
+    /// Token capacity of the per-binding [`RetryBudget`].
+    pub budget: u32,
 }
 
 impl Default for RetryPolicy {
@@ -61,7 +65,7 @@ impl Default for RetryPolicy {
             max_retries: 3,
             backoff: Duration::from_millis(20),
             max_backoff: Duration::from_millis(500),
-            budget: Some(32),
+            budget: 32,
         }
     }
 }
@@ -238,13 +242,6 @@ impl TransparencyPolicy {
         self
     }
 
-    /// Builder-style: disable location transparency.
-    #[must_use]
-    pub fn without_location(mut self) -> Self {
-        self.location = false;
-        self
-    }
-
     /// Builder-style: set or clear failure retry.
     #[must_use]
     pub fn with_failure(mut self, retry: Option<RetryPolicy>) -> Self {
@@ -308,8 +305,8 @@ impl TransparencyPolicy {
 pub struct RetryLayer {
     /// The declarative policy this layer enforces.
     pub policy: RetryPolicy,
-    /// Per-binding token bucket (`None` when the policy disables it).
-    budget: Option<Arc<RetryBudget>>,
+    /// Per-binding token bucket.
+    budget: Arc<RetryBudget>,
     /// SplitMix64 state for jitter. Seeded with a fixed constant so a
     /// binding's sleep sequence is deterministic — chaos runs must replay
     /// identically for the same seed.
@@ -324,16 +321,16 @@ impl RetryLayer {
     pub fn new(policy: RetryPolicy) -> Self {
         Self {
             policy,
-            budget: policy.budget.map(RetryBudget::new),
+            budget: RetryBudget::new(policy.budget),
             jitter: AtomicU64::new(0x0D9_1991),
             budget_exhausted: AtomicU64::new(0),
         }
     }
 
-    /// The layer's retry budget, if the policy enables one.
+    /// The layer's retry budget.
     #[must_use]
-    pub fn budget(&self) -> Option<&Arc<RetryBudget>> {
-        self.budget.as_ref()
+    pub fn budget(&self) -> &Arc<RetryBudget> {
+        &self.budget
     }
 
     fn next_rand(&self) -> u64 {
@@ -364,36 +361,32 @@ impl ClientLayer for RetryLayer {
         let mut last_err = None;
         for attempt in 0..=self.policy.max_retries {
             if attempt > 0 {
-                if let Some(budget) = &self.budget {
-                    if !budget.try_withdraw() {
-                        // Budget exhausted: fail fast with the last
-                        // communication error rather than multiply load.
-                        self.budget_exhausted.fetch_add(1, Ordering::Relaxed);
-                        odp_telemetry::hub().event(
-                            "retry.budget_exhausted",
-                            0,
-                            req.trace.trace_id,
-                            format!("op={} attempt={attempt}", req.op),
-                        );
-                        return Err(last_err.unwrap_or(InvokeError::Rex(RexError::Timeout)));
-                    }
+                if !self.budget.try_withdraw() {
+                    // Budget exhausted: fail fast with the last
+                    // communication error rather than multiply load.
+                    self.budget_exhausted.fetch_add(1, Ordering::Relaxed);
+                    odp_telemetry::hub().event(
+                        "retry.budget_exhausted",
+                        0,
+                        req.trace.trace_id,
+                        format!("op={} attempt={attempt}", req.op),
+                    );
+                    return Err(last_err.unwrap_or(InvokeError::Rex(RexError::Timeout)));
                 }
                 let sleep = self.next_backoff(prev_backoff);
                 prev_backoff = sleep;
-                match req.remaining_budget() {
+                let remaining = req.remaining_budget();
+                if remaining.is_zero() {
                     // Deadline already spent: a retry could not finish.
-                    Some(remaining) if remaining.is_zero() => {
-                        return Err(last_err.unwrap_or(InvokeError::Rex(RexError::Timeout)))
-                    }
-                    // Never sleep past the caller's deadline.
-                    Some(remaining) => std::thread::sleep(sleep.min(remaining)),
-                    None => std::thread::sleep(sleep),
+                    return Err(last_err.unwrap_or(InvokeError::Rex(RexError::Timeout)));
                 }
+                // Never sleep past the caller's deadline.
+                std::thread::sleep(sleep.min(remaining));
             }
             match next.invoke(req.clone()) {
                 // Only communication failures are retried: engineering
                 // terminations, application outcomes and shed calls
-                // (`CircuitOpen`) pass straight through.
+                // (`CircuitOpen`, `Rejected`) pass straight through.
                 Err(e @ InvokeError::Rex(RexError::Timeout | RexError::Unreachable(_)))
                     if attempt < self.policy.max_retries =>
                 {
@@ -406,19 +399,12 @@ impl ClientLayer for RetryLayer {
                     last_err = Some(e);
                 }
                 other => {
-                    // A server-shed call (`__rejected`) completed the
-                    // exchange but did no work: pass it through without
-                    // retrying *and* without depositing retry budget — a
-                    // saturated server must not look like a healthy one
-                    // refilling the bucket that amplifies its overload.
-                    let shed = matches!(
-                        &other,
-                        Ok(o) if o.termination == terminations::REJECTED
-                    );
-                    if other.is_ok() && !shed {
-                        if let Some(budget) = &self.budget {
-                            budget.deposit();
-                        }
+                    // Only a completed call deposits budget: a server-shed
+                    // one (`Rejected`) did no work, and a saturated server
+                    // must not look like a healthy one refilling the bucket
+                    // that amplifies its overload.
+                    if other.is_ok() {
+                        self.budget.deposit();
                     }
                     return other;
                 }
@@ -513,7 +499,7 @@ impl ClientLayer for CircuitBreakerLayer {
         };
         let trace_id = req.trace.trace_id;
         let result = next.invoke(req);
-        // A server-shed call (`__rejected`) means the target is saturated:
+        // A server-shed call (`Rejected`) means the target is saturated:
         // it counts toward opening exactly like a communication failure, so
         // sustained shedding trips the breaker and the client stops
         // offering load the server will only throw away.
@@ -521,8 +507,8 @@ impl ClientLayer for CircuitBreakerLayer {
             result,
             Err(InvokeError::Rex(
                 RexError::Timeout | RexError::Unreachable(_) | RexError::Transport(_)
-            ))
-        ) || matches!(&result, Ok(o) if o.termination == terminations::REJECTED);
+            ) | InvokeError::Rejected { .. })
+        );
         let mut inner = self.inner.lock();
         if is_probe {
             inner.probing = false;
@@ -547,7 +533,7 @@ impl ClientLayer for CircuitBreakerLayer {
                 }
             }
         } else {
-            // Any completed exchange — application outcome, engineering
+            // Any other completed exchange — application outcome, engineering
             // termination, even a type error — proves the path is up.
             inner.consecutive_failures = 0;
             if inner.state != BreakerState::Closed {
@@ -583,11 +569,12 @@ impl fmt::Debug for CircuitBreakerLayer {
 ///
 /// Two information sources, in order of preference:
 ///
-/// 1. **Forwarding tombstones**: the old home answers `__moved(new, epoch)`
-///    — cheap and precise.
-/// 2. **The relocation service**: consulted when the old home is gone
-///    entirely. Only *changes* were registered there, honouring the §5.4
-///    scaling rule.
+/// 1. **Forwarding tombstones**: the old home answers `__moved(new, epoch)`,
+///    which arrives as [`InvokeError::Stale`] with a hint — cheap and
+///    precise.
+/// 2. **The relocation service**: consulted once when the old home is gone
+///    entirely or has forgotten the interface. Only *changes* were
+///    registered there, honouring the §5.4 scaling rule.
 pub struct LocationLayer {
     pub(crate) capsule: std::sync::Weak<Capsule>,
     pub(crate) cell: Arc<RwLock<InterfaceRef>>,
@@ -624,11 +611,11 @@ impl LocationLayer {
     /// is left of the caller's budget: with the budget spent, it does not
     /// ask.
     fn consult_relocator(&self, req: &CallRequest) -> Option<(odp_types::NodeId, u64)> {
-        let qos = match req.remaining_budget() {
-            Some(left) if left.is_zero() => return None,
-            Some(left) => CallQos::default().clamp_to(left),
-            None => CallQos::default(),
-        };
+        let left = req.remaining_budget();
+        if left.is_zero() {
+            return None;
+        }
+        let qos = CallQos::default().clamp_to(left);
         let capsule = self.capsule.upgrade()?;
         let reloc_home = req.target.relocator?;
         let reloc_ref = capsule
@@ -641,16 +628,9 @@ impl LocationLayer {
                 RELOCATOR_OP_LOOKUP,
                 vec![Value::Int(req.target.iface.raw() as i64)],
             )
-            .ok()?;
-        if outcome.termination != "ok" {
-            return None;
-        }
-        match (outcome.results.first(), outcome.results.get(1)) {
-            (Some(Value::Int(node)), Some(Value::Int(epoch))) => {
-                Some((odp_types::NodeId(*node as u64), *epoch as u64))
-            }
-            _ => None,
-        }
+            .ok()
+            .filter(Outcome::is_ok)?;
+        invocation::location_of(&outcome.results)
     }
 }
 
@@ -669,48 +649,28 @@ impl ClientLayer for LocationLayer {
         let mut consulted = false;
         for _chase in 0..Self::MAX_CHASE {
             // A chase must not outlive the caller's end-to-end budget.
-            if req.remaining_budget().is_some_and(|r| r.is_zero()) {
+            if req.remaining_budget().is_zero() {
                 return Err(InvokeError::Rex(RexError::Timeout));
             }
-            let attempt = next.invoke(req.clone());
-            match attempt {
-                Ok(outcome) if outcome.termination == terminations::MOVED => {
+            match next.invoke(req.clone()) {
+                Err(InvokeError::Stale {
+                    hint: Some((node, epoch)),
+                    ..
+                }) => {
                     // Tombstone: follow the forwarding pointer.
-                    match (outcome.results.first(), outcome.results.get(1)) {
-                        (Some(Value::Int(node)), Some(Value::Int(epoch))) => {
-                            req =
-                                self.retarget(&req, odp_types::NodeId(*node as u64), *epoch as u64);
-                            // Fresh movement evidence re-arms the one-shot
-                            // relocator consultation: the chain may end at
-                            // a node that has itself restarted since.
-                            consulted = false;
-                        }
-                        _ => {
-                            return Err(InvokeError::Stale {
-                                iface: req.target.iface,
-                                hint: None,
-                            })
-                        }
-                    }
+                    req = self.retarget(&req, node, epoch);
+                    // Fresh movement evidence re-arms the one-shot
+                    // relocator consultation: the chain may end at a node
+                    // that has itself restarted since.
+                    consulted = false;
                 }
                 // The reached node has forgotten the interface (restart
                 // without tombstones), or the node is gone: ask the
                 // relocation service once.
-                Ok(outcome) if outcome.termination == terminations::NO_SUCH_INTERFACE => {
-                    if consulted {
-                        return Ok(outcome);
-                    }
-                    consulted = true;
-                    match self.consult_relocator(&req) {
-                        Some((node, epoch))
-                            if node != req.target.home || epoch > req.target.epoch =>
-                        {
-                            req = self.retarget(&req, node, epoch);
-                        }
-                        _ => return Ok(outcome),
-                    }
-                }
-                Err(e @ InvokeError::Rex(RexError::Unreachable(_) | RexError::Timeout)) => {
+                Err(
+                    e @ (InvokeError::NoSuchInterface(_)
+                    | InvokeError::Rex(RexError::Unreachable(_) | RexError::Timeout)),
+                ) => {
                     if consulted {
                         return Err(e);
                     }
@@ -760,11 +720,11 @@ mod tests {
 
     #[test]
     fn builder_methods_compose() {
-        let p = TransparencyPolicy::default()
-            .without_location()
+        let mut p = TransparencyPolicy::default()
             .with_failure(None)
             .with_force_remote(true)
             .with_qos(CallQos::with_deadline(Duration::from_millis(300)));
+        p.location = false;
         assert!(!p.location);
         assert!(p.failure.is_none());
         assert!(p.force_remote);
@@ -777,7 +737,7 @@ mod tests {
         assert_eq!(r.max_retries, 3);
         assert!(r.backoff > Duration::ZERO);
         assert!(r.max_backoff >= r.backoff);
-        assert!(r.budget.is_some());
+        assert!(r.budget > 0);
     }
 
     #[test]
@@ -864,7 +824,7 @@ mod tests {
             annotations: std::collections::BTreeMap::new(),
             qos: CallQos::default(),
             announcement: false,
-            deadline: None,
+            deadline: Instant::now() + CallQos::default().deadline,
             trace: odp_telemetry::TraceContext::NONE,
         }
     }
@@ -909,7 +869,7 @@ mod tests {
             max_retries: 10,
             backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(2),
-            budget: Some(2),
+            budget: 2,
         });
         let next = ScriptedNext::failing(u64::MAX);
         let err = layer.invoke(dummy_request(), &next).unwrap_err();
@@ -925,12 +885,12 @@ mod tests {
             max_retries: 100,
             backoff: Duration::from_millis(20),
             max_backoff: Duration::from_millis(40),
-            budget: None,
+            budget: 1000,
         });
         let next = ScriptedNext::failing(u64::MAX);
         let mut req = dummy_request();
         let budget = Duration::from_millis(80);
-        req.deadline = Some(Instant::now() + budget);
+        req.deadline = Instant::now() + budget;
         let start = Instant::now();
         let err = layer.invoke(req, &next).unwrap_err();
         assert_eq!(err, InvokeError::Rex(RexError::Timeout));
@@ -943,7 +903,7 @@ mod tests {
         assert!(next.calls.load(Ordering::SeqCst) < 100);
     }
 
-    /// A next that always answers with the server-shed termination.
+    /// A next whose every call the server sheds.
     struct SheddingNext {
         calls: std::sync::atomic::AtomicU64,
     }
@@ -959,10 +919,9 @@ mod tests {
     impl crate::invocation::ClientNext for SheddingNext {
         fn invoke(&self, _req: CallRequest) -> Result<Outcome, InvokeError> {
             self.calls.fetch_add(1, Ordering::SeqCst);
-            Ok(Outcome::engineering(
-                terminations::REJECTED,
-                odp_wire::overload::rejection_results(Duration::from_millis(2)),
-            ))
+            Err(InvokeError::Rejected {
+                retry_after: Duration::from_millis(2),
+            })
         }
     }
 
@@ -972,20 +931,20 @@ mod tests {
             max_retries: 3,
             backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(2),
-            budget: Some(2),
+            budget: 2,
         });
         // Spend one budget token on a genuine transient failure so the
         // bucket sits below its cap (deposits would be visible).
         let flaky = ScriptedNext::failing(1);
         layer.invoke(dummy_request(), &flaky).unwrap();
-        assert_eq!(layer.budget().unwrap().balance(), 1);
+        assert_eq!(layer.budget().balance(), 1);
         // Shed responses: exactly one attempt each (no retry), and no
         // budget deposits — ten of them must not refill the bucket the
         // way ten successes would.
         let shedding = SheddingNext::new();
         for _ in 0..10 {
-            let out = layer.invoke(dummy_request(), &shedding).unwrap();
-            assert_eq!(out.termination, terminations::REJECTED);
+            let err = layer.invoke(dummy_request(), &shedding).unwrap_err();
+            assert!(matches!(err, InvokeError::Rejected { .. }), "{err:?}");
         }
         assert_eq!(
             shedding.calls.load(Ordering::SeqCst),
@@ -993,7 +952,7 @@ mod tests {
             "a shed call must never be retried"
         );
         assert_eq!(
-            layer.budget().unwrap().balance(),
+            layer.budget().balance(),
             1,
             "shed calls must not deposit retry budget"
         );
@@ -1009,8 +968,8 @@ mod tests {
         let shedding = SheddingNext::new();
         // Shed responses complete the exchange but count as failures.
         for _ in 0..2 {
-            let out = breaker.invoke(dummy_request(), &shedding).unwrap();
-            assert_eq!(out.termination, terminations::REJECTED);
+            let err = breaker.invoke(dummy_request(), &shedding).unwrap_err();
+            assert!(matches!(err, InvokeError::Rejected { .. }), "{err:?}");
         }
         assert_eq!(breaker.state(), BreakerState::Open);
         // Open: the overloaded server no longer sees this client at all.

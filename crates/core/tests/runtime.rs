@@ -221,6 +221,40 @@ fn lying_callers_cannot_starve_a_default_export() {
 }
 
 #[test]
+fn dispatcher_refuses_operation_kinds_the_export_does_not_declare() {
+    // A reference that swaps kinds: `read` claimed as an announcement and
+    // `log` as an interrogation. The caller's check passes against the lie,
+    // so the dispatcher must refuse both against the export.
+    let world = World::quick();
+    let runs = Arc::new(AtomicI64::new(0));
+    let seen = Arc::clone(&runs);
+    let servant = FnServant::new(counter_type(), move |_op, _args, _ctx| {
+        seen.fetch_add(1, Ordering::SeqCst);
+        Outcome::ok(vec![])
+    });
+    let server = world.capsule(0);
+    let r = server.export(Arc::new(servant));
+    let mut lying = r.clone();
+    lying.ty = InterfaceTypeBuilder::new()
+        .announcement("read", vec![])
+        .interrogation("log", vec![TypeSpec::Str], vec![OutcomeSig::ok(vec![])])
+        .build();
+    let liar = world.capsule(1).bind(lying);
+    liar.announce("read", vec![]).unwrap();
+    let err = liar
+        .interrogate("log", vec![Value::str("entry")])
+        .unwrap_err();
+    assert!(matches!(err, InvokeError::RemoteTypeError(_)), "{err:?}");
+    // Both calls reached the dispatcher; neither reached the servant.
+    let give_up = Instant::now() + Duration::from_secs(2);
+    while server.stats.served.load(Ordering::SeqCst) < 2 && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(server.stats.served.load(Ordering::SeqCst), 2);
+    assert_eq!(runs.load(Ordering::SeqCst), 0);
+}
+
+#[test]
 fn closed_interfaces_report_closed() {
     let world = World::quick();
     let counter = Counter::new();

@@ -10,7 +10,9 @@
 //!   down the member list — but never past the caller's end-to-end
 //!   deadline: once the budget is spent the layer stops probing and
 //!   reports the last failure;
-//! * on a `__grp_not_sequencer` redirect, follows the indicated node;
+//! * on a `__grp_not_sequencer` redirect (which the access layer delivers
+//!   as [`InvokeError::Unhandled`], outcome intact), follows the indicated
+//!   node;
 //! * remembers the member that last answered so steady-state traffic pays
 //!   no discovery cost — and, symmetrically, advances past a member that
 //!   just failed, so a silently partitioned sequencer cannot soak up the
@@ -65,7 +67,7 @@ impl ClientLayer for GroupLayer {
             // Failover is bounded by the caller's absolute deadline: probing
             // further members after the budget is gone only adds latency to
             // an answer that can no longer arrive in time.
-            if req.remaining_budget().is_some_and(|r| r.is_zero()) {
+            if req.remaining_budget().is_zero() {
                 return Err(last_err.unwrap_or(InvokeError::Rex(RexError::Timeout)));
             }
             let idx = (start + attempt) % members.len();
@@ -74,7 +76,7 @@ impl ClientLayer for GroupLayer {
             let mut attempt_req = req.clone();
             attempt_req.target = member.clone();
             match next.invoke(attempt_req) {
-                Ok(outcome) if outcome.termination == NOT_SEQUENCER => {
+                Err(InvokeError::Unhandled(outcome)) if outcome.termination == NOT_SEQUENCER => {
                     // Redirect: prefer the member on the indicated node.
                     if let Some(Value::Int(node)) = outcome.results.first() {
                         if let Some(pos) = members.iter().position(|m| m.home.raw() == *node as u64)
@@ -82,17 +84,18 @@ impl ClientLayer for GroupLayer {
                             let mut redirect_req = req.clone();
                             // odp-lint: allow(l1, reason = "pos comes from position() over the same members slice")
                             redirect_req.target = members[pos].clone();
+                            // Only a second redirect or a lost sequencer falls through.
                             match next.invoke(redirect_req) {
-                                Ok(out) if out.termination != NOT_SEQUENCER => {
+                                Err(InvokeError::Unhandled(o))
+                                    if o.termination == NOT_SEQUENCER => {}
+                                Err(InvokeError::Rex(_) | InvokeError::CircuitOpen) => {}
+                                done => {
                                     self.preferred.store(pos, Ordering::Relaxed);
-                                    return Ok(out);
-                                }
-                                Ok(_) | Err(_) => {
-                                    last_err = Some(InvokeError::Protocol(
-                                        "sequencer redirect loop".to_owned(),
-                                    ));
+                                    return done;
                                 }
                             }
+                            last_err =
+                                Some(InvokeError::Protocol("sequencer redirect loop".to_owned()));
                         }
                     }
                     // Redirect unusable: fall through to the next member.

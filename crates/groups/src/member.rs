@@ -563,11 +563,9 @@ impl std::fmt::Debug for GroupServant {
     }
 }
 
-/// Whether a relay reply carries the [`STALE_SEQ`] fence signal.
-///
-/// The relay binding's `interrogate` turns every reserved termination it
-/// does not model into `InvokeError::Protocol` at the binding surface, so
-/// the fence always arrives as that error, never as a raw outcome.
+/// Whether a relay reply carries the [`STALE_SEQ`] fence signal: a reserved
+/// termination the core does not model, so it arrives as
+/// `InvokeError::Unhandled` with the outcome intact.
 fn is_stale_seq_signal(reply: &Result<Outcome, odp_core::InvokeError>) -> bool {
-    matches!(reply, Err(odp_core::InvokeError::Protocol(msg)) if msg.contains(STALE_SEQ))
+    matches!(reply, Err(odp_core::InvokeError::Unhandled(o)) if o.termination == STALE_SEQ)
 }

@@ -1,7 +1,7 @@
 //! `odp-lint` CLI — see `--help` or DESIGN.md §8.
 //!
-//! Exit codes: 0 clean (or within ratchet), 1 violations over budget or a
-//! lock-order cycle, 2 usage/I-O error.
+//! Exit codes: 0 clean (or exactly at the ratchet), 1 a count off its
+//! budget or a lock-order cycle, 2 usage/I-O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -18,7 +18,7 @@ OPTIONS:
     --root <DIR>             workspace root (default: .)
     --json                   emit the machine-readable JSON report
     --ratchet <FILE>         compare counts against a checked-in ratchet;
-                             fail only on regressions above budget
+                             fail on any count above or below its budget
     --update-ratchet <FILE>  write current counts as the new ratchet
     --rule <ID>              only run one rule (repeatable), e.g. --rule L2
     -h, --help               this text
@@ -97,7 +97,12 @@ fn run() -> Result<ExitCode, String> {
     if let Some(path) = ratchet_path {
         let src = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let budget = ratchet::parse_json(&src).map_err(|e| format!("{}: {e}", path.display()))?;
+        let mut budget =
+            ratchet::parse_json(&src).map_err(|e| format!("{}: {e}", path.display()))?;
+        // With `--rule`, the other rules' entries are not being counted.
+        budget.retain(|key, _| {
+            only_rules.is_empty() || only_rules.iter().any(|r| key.starts_with(&format!("{r}/")))
+        });
         let counts = rules::counts(&rep.violations);
         let check = ratchet::check(&budget, &counts);
         for (key, b, a) in &check.regressions {
@@ -105,7 +110,7 @@ fn run() -> Result<ExitCode, String> {
         }
         for (key, b, a) in &check.improvements {
             eprintln!(
-                "odp-lint: ratchet improvement {key}: {a} < budget {b} \
+                "odp-lint: RATCHET SLACK {key}: {a} < budget {b} \
                  (tighten with --update-ratchet)"
             );
         }

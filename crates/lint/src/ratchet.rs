@@ -1,7 +1,8 @@
 //! The violation ratchet: a checked-in flat JSON map `{"rule/crate": n}`
-//! that CI compares against the current run. Counts may only go down —
-//! new debt is rejected at review time, paid-down debt tightens the gate
-//! on the next `--update-ratchet`.
+//! that CI compares against the current run. Counts must match exactly:
+//! new debt fails the run, and so does paid-down debt until the ratchet is
+//! tightened with `--update-ratchet`, so the slack can never let debt
+//! silently return.
 
 use std::collections::BTreeMap;
 
@@ -10,15 +11,15 @@ use std::collections::BTreeMap;
 pub struct RatchetCheck {
     /// `rule/crate` entries above their budget: `(key, budget, actual)`.
     pub regressions: Vec<(String, u64, u64)>,
-    /// Entries now below budget (the ratchet should be tightened).
+    /// Entries now below budget: the ratchet must be tightened.
     pub improvements: Vec<(String, u64, u64)>,
 }
 
 impl RatchetCheck {
-    /// Whether the run is within budget.
+    /// Whether every count equals its budget.
     #[must_use]
     pub fn ok(&self) -> bool {
-        self.regressions.is_empty()
+        self.regressions.is_empty() && self.improvements.is_empty()
     }
 }
 
@@ -149,6 +150,17 @@ mod tests {
         assert_eq!(check.regressions, [("L1/core".to_owned(), 2, 3)]);
         assert_eq!(check.improvements, [("L3/gc".to_owned(), 5, 1)]);
         assert!(!check.ok());
+    }
+
+    #[test]
+    fn paid_down_debt_fails_until_tightened() {
+        let ratchet = counts(&[("L3/core", 2), ("L3/gc", 1)]);
+        let check = check(&ratchet, &counts(&[("L3/core", 1), ("L3/gc", 1)]));
+        assert!(check.regressions.is_empty());
+        assert_eq!(check.improvements, [("L3/core".to_owned(), 2, 1)]);
+        assert!(!check.ok(), "slack below budget must fail");
+        let tightened = counts(&[("L3/core", 1), ("L3/gc", 1)]);
+        assert!(super::check(&tightened, &tightened).ok());
     }
 
     #[test]

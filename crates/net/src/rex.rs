@@ -86,13 +86,6 @@ impl CallQos {
         }
     }
 
-    /// This QoS with the given scheduling class.
-    #[must_use]
-    pub fn with_priority(mut self, priority: CallPriority) -> Self {
-        self.priority = priority;
-        self
-    }
-
     /// This QoS with its deadline clamped to `remaining` — deadline
     /// propagation: a layer that knows the caller's *end-to-end* budget
     /// shrinks each attempt's deadline to what is actually left, so stacked
@@ -1424,8 +1417,8 @@ mod tests {
             *s.lock() = Some((req.priority, req.deadline));
             PooledBuf::from_slice(&req.body)
         }));
-        let qos =
-            CallQos::with_deadline(Duration::from_millis(500)).with_priority(CallPriority::High);
+        let mut qos = CallQos::with_deadline(Duration::from_millis(500));
+        qos.priority = CallPriority::High;
         let before = Instant::now();
         a.call(
             NodeId(2),

@@ -231,7 +231,7 @@ fn activation_of_missing_state_reports_passive() {
     let client = world.capsule(1).bind(r);
     let err = client.interrogate("read", vec![]).unwrap_err();
     assert!(
-        matches!(err, InvokeError::Protocol(ref why) if why.contains("__passive")),
+        matches!(err, InvokeError::Unhandled(ref o) if o.termination == odp_core::terminations::PASSIVE),
         "{err:?}"
     );
 }
