@@ -82,6 +82,7 @@ pub fn gateway_interface_type() -> InterfaceType {
                 TypeSpec::Str,   // operation
                 TypeSpec::Bytes, // marshalled arguments
                 TypeSpec::Str,   // source domain name
+                TypeSpec::Bool,  // the call is an announcement
             ],
             vec![OutcomeSig::ok(vec![TypeSpec::Any])],
         )
@@ -131,6 +132,7 @@ impl ClientLayer for BoundaryLayer {
                         Value::str(req.op.as_str()),
                         Value::Bytes(odp_wire::marshal(&req.args)),
                         Value::str(self.my_domain_name.as_str()),
+                        Value::Bool(req.announcement),
                     ],
                     annotations: req.annotations.clone(),
                     qos: req.qos,
@@ -230,13 +232,14 @@ impl Gateway {
     }
 
     fn relay(&self, args: Vec<Value>, ctx: &CallCtx) -> Outcome {
-        let (Some(iface), Some(op), Some(payload), Some(from_domain)) = (
+        let (Some(iface), Some(op), Some(payload), Some(from_domain), Some(announcement)) = (
             args.first().and_then(Value::as_int),
             args.get(1).and_then(Value::as_str),
             args.get(2).and_then(Value::as_bytes),
             args.get(3).and_then(Value::as_str),
+            args.get(4).and_then(Value::as_bool),
         ) else {
-            return Outcome::fail("relay requires (iface, op, args, from_domain)");
+            return Outcome::fail("relay requires (iface, op, args, from_domain, announcement)");
         };
         if !self.policy.admits(from_domain, op) {
             return Outcome::engineering(
@@ -256,18 +259,25 @@ impl Gateway {
             return Outcome::fail("gateway host has shut down");
         };
         // Reconstruct a target reference: identity gives the home node, a
-        // synthetic single-operation signature satisfies client checks (the
-        // real check happens at the target's own dispatcher).
+        // synthetic single-operation signature of the call's own kind
+        // satisfies client checks (the real check happens at the target's
+        // own dispatcher).
         let home = InterfaceIdAllocator::home_of(iface);
-        let synthetic_ty = InterfaceType::new(vec![OperationSig::interrogation(
-            op,
-            vec![TypeSpec::Any; app_args.len()],
-            vec![],
-        )]);
-        let mut target = InterfaceRef::new(iface, home, synthetic_ty);
+        let params = vec![TypeSpec::Any; app_args.len()];
+        let sig = if announcement {
+            OperationSig::announcement(op, params)
+        } else {
+            OperationSig::interrogation(op, params, vec![])
+        };
+        let mut target = InterfaceRef::new(iface, home, InterfaceType::new(vec![sig]));
         target.relocator = capsule.relocator_ref().map(|r| r.home);
         let binding = capsule.bind_with(target, self.forwarding_policy());
-        let outcome = match binding.interrogate_annotated(op, app_args, ctx.annotations.clone()) {
+        let forwarded = if announcement {
+            binding.announce(op, app_args).map(|()| Outcome::ok(vec![]))
+        } else {
+            binding.interrogate_annotated(op, app_args, ctx.annotations.clone())
+        };
+        let outcome = match forwarded {
             Ok(outcome) => outcome,
             Err(InvokeError::Denied(why)) => {
                 return Outcome::engineering(terminations::DENIED, vec![Value::str(why)])

@@ -7,7 +7,9 @@ use odp_federation::{AdmissionPolicy, BoundaryLayer, DomainMap, Gateway, ValueMa
 use odp_types::signature::{InterfaceTypeBuilder, OutcomeSig};
 use odp_types::{DomainId, InterfaceType, TypeSpec};
 use odp_wire::Value;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn echo_type() -> InterfaceType {
     InterfaceTypeBuilder::new()
@@ -81,6 +83,37 @@ fn cross_domain_invocation_is_intercepted_and_works() {
             .load(std::sync::atomic::Ordering::Relaxed)
             >= 1
     );
+}
+
+#[test]
+fn cross_domain_announcement_runs_at_the_target() {
+    // The relay carries the call's kind: an announcement forwarded as an
+    // interrogation would be refused by the target's dispatcher.
+    let td = two_domains(AdmissionPolicy::allow_all());
+    let heard = Arc::new(AtomicU64::new(0));
+    let ears = Arc::clone(&heard);
+    let ty = InterfaceTypeBuilder::new()
+        .announcement("log", vec![TypeSpec::Str])
+        .build();
+    let svc = td
+        .world
+        .capsule(0)
+        .export(Arc::new(FnServant::new(ty, move |_op, _args, _ctx| {
+            ears.fetch_add(1, Ordering::SeqCst);
+            Outcome::ok(vec![])
+        })));
+    let policy =
+        TransparencyPolicy::default().with_layer(BoundaryLayer::new(Arc::clone(&td.map), GLOBEX));
+    let client = td.world.capsule(2).bind_with(svc, policy);
+    client
+        .announce("log", vec![Value::str("over the wall")])
+        .unwrap();
+    // Announcements run asynchronously at the target: wait for it.
+    let until = Instant::now() + Duration::from_secs(5);
+    while heard.load(Ordering::SeqCst) == 0 && Instant::now() < until {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(heard.load(Ordering::SeqCst), 1);
 }
 
 #[test]

@@ -62,23 +62,32 @@ impl VotingLayer {
 
 impl ClientLayer for VotingLayer {
     fn invoke(&self, req: CallRequest, next: &dyn ClientNext) -> Result<Outcome, InvokeError> {
-        // Invoke every version; collect comparable outcomes.
-        let mut outcomes: Vec<Outcome> = Vec::with_capacity(self.versions.len());
+        // Invoke every version; collect comparable answers. An engineering
+        // termination a version answered with (`Denied`, `RemoteTypeError`…)
+        // is a vote like any outcome, so a version failing where the others
+        // answer counts as dissent; only a version that gave no answer at
+        // all stays out of the vote.
+        let mut outcomes: Vec<Result<Outcome, InvokeError>> =
+            Vec::with_capacity(self.versions.len());
         let mut last_err = None;
         for version in &self.versions {
             let mut attempt = req.clone();
             attempt.target = version.clone();
             match next.invoke(attempt) {
-                Ok(outcome) => outcomes.push(outcome),
-                Err(e) => last_err = Some(e),
+                Err(
+                    e @ (InvokeError::Rex(_) | InvokeError::CircuitOpen | InvokeError::Protocol(_)),
+                ) => {
+                    last_err = Some(e);
+                }
+                answer => outcomes.push(answer),
             }
         }
         if outcomes.is_empty() {
             return Err(last_err
                 .unwrap_or_else(|| InvokeError::Protocol("no version reachable".to_owned())));
         }
-        // Tally identical outcomes (termination + results).
-        let mut best: Option<(usize, &Outcome)> = None;
+        // Tally identical answers (termination + results, or the same error).
+        let mut best: Option<(usize, &Result<Outcome, InvokeError>)> = None;
         for candidate in &outcomes {
             let votes = outcomes.iter().filter(|o| *o == candidate).count();
             if best.is_none_or(|(b, _)| votes > b) {
@@ -104,7 +113,7 @@ impl ClientLayer for VotingLayer {
             );
         }
         if votes >= self.quorum {
-            Ok(winner.clone())
+            winner.clone()
         } else {
             Err(InvokeError::Protocol(format!(
                 "n-version quorum not reached: best agreement {votes} of {} (need {})",

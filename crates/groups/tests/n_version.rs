@@ -1,7 +1,7 @@
 //! N-version programming tests: independent implementations voted at the
 //! client (§5.3's "defence against programming errors").
 
-use odp_core::{FnServant, InvokeError, Outcome, Servant, TransparencyPolicy, World};
+use odp_core::{terminations, FnServant, InvokeError, Outcome, Servant, TransparencyPolicy, World};
 use odp_groups::VotingLayer;
 use odp_types::signature::{InterfaceTypeBuilder, OutcomeSig};
 use odp_types::{InterfaceType, TypeSpec};
@@ -102,6 +102,59 @@ fn one_buggy_version_is_outvoted() {
     // Small inputs: all agree, no dissent recorded.
     let out = binding.interrogate("isqrt", vec![Value::Int(81)]).unwrap();
     assert_eq!(out.int(), Some(9));
+    assert_eq!(layer.dissents.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn an_engineering_termination_is_a_dissenting_vote() {
+    // Versions 0 and 2 agree; version 1 answers with a reserved
+    // termination. It is outvoted and counted as dissent, not ignored.
+    let world = World::builder().capsules(4).build();
+    let ty = sqrt_type();
+    let refs: Vec<InterfaceRef> = (0..3)
+        .map(|i| {
+            let servant = FnServant::new(ty.clone(), move |_o, _a, _c| {
+                if i == 1 {
+                    Outcome::engineering(terminations::DENIED, vec![Value::str("no")])
+                } else {
+                    Outcome::ok(vec![Value::Int(3)])
+                }
+            });
+            world
+                .capsule(i as usize)
+                .export(Arc::new(servant) as Arc<dyn Servant>)
+        })
+        .collect();
+    let (binding, layer) = bind_voted(&world, refs);
+    let out = binding.interrogate("isqrt", vec![Value::Int(9)]).unwrap();
+    assert_eq!(out.int(), Some(3));
+    assert_eq!(layer.dissents.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn a_quorum_of_engineering_terminations_wins_the_vote() {
+    // Two of three versions deny: the agreed answer is the denial.
+    let world = World::builder().capsules(4).build();
+    let ty = sqrt_type();
+    let refs: Vec<InterfaceRef> = (0..3)
+        .map(|i| {
+            let servant = FnServant::new(ty.clone(), move |_o, _a, _c| {
+                if i == 0 {
+                    Outcome::ok(vec![Value::Int(3)])
+                } else {
+                    Outcome::engineering(terminations::DENIED, vec![Value::str("no")])
+                }
+            });
+            world
+                .capsule(i as usize)
+                .export(Arc::new(servant) as Arc<dyn Servant>)
+        })
+        .collect();
+    let (binding, layer) = bind_voted(&world, refs);
+    let err = binding
+        .interrogate("isqrt", vec![Value::Int(9)])
+        .unwrap_err();
+    assert_eq!(err, InvokeError::Denied("no".to_owned()));
     assert_eq!(layer.dissents.load(Ordering::Relaxed), 1);
 }
 
