@@ -14,8 +14,8 @@
 //!   ([`odp_wire::CallPriority`]) and dispatches strictly
 //!   highest-priority-first,
 //!   bounding concurrency at [`AdmissionPolicy::max_concurrent`];
-//! * answers every shed call with the reserved termination
-//!   [`terminations::REJECTED`] carrying `[Int(retry_after_µs)]` — in
+//! * answers every shed call with the engineering code
+//!   [`Code::Rejected`] carrying `[Int(retry_after_µs)]` — in
 //!   **local time** (microseconds of queue math, no network, no servant),
 //!   so a saturated server gets *cheaper* per excess call, not slower.
 //!
@@ -32,9 +32,9 @@
 //! that is what turns the overload cliff into a flat knee (E17).
 
 use crate::invocation::{ServerLayer, ServerNext};
-use crate::object::{terminations, CallCtx, Outcome};
+use crate::object::{CallCtx, Code, Outcome};
 use odp_telemetry::QueueGauge;
-use odp_wire::overload::rejection_results;
+use odp_wire::Value;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fmt;
@@ -232,10 +232,9 @@ impl AdmissionLayer {
         if self.shed_run.fetch_add(1, Ordering::Relaxed) + 1 == SHED_BURST_TRIGGER {
             hub.recorder().trigger("load.shed.burst", hub.now_ns());
         }
-        Outcome::engineering(
-            terminations::REJECTED,
-            rejection_results(self.policy.retry_after),
-        )
+        let retry_after_micros =
+            i64::try_from(self.policy.retry_after.as_micros()).unwrap_or(i64::MAX);
+        Outcome::engineering(Code::Rejected, vec![Value::Int(retry_after_micros)])
     }
 
     /// Predicted queue wait for a call entering at `pri` now, from the
@@ -376,7 +375,9 @@ impl fmt::Debug for AdmissionLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odp_wire::{CallPriority, Value};
+    use crate::object::Termination;
+    use odp_types::InterfaceId;
+    use odp_wire::CallPriority;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
@@ -438,7 +439,7 @@ mod tests {
             Some(Instant::now() - Duration::from_millis(1)),
         );
         let out = layer.dispatch(&ctx, "op", vec![], &target);
-        assert_eq!(out.termination, terminations::REJECTED);
+        assert_eq!(out.termination, Termination::Engineering(Code::Rejected));
         assert_eq!(
             target.hits.load(Ordering::SeqCst),
             0,
@@ -447,8 +448,12 @@ mod tests {
         assert_eq!(layer.expired.load(Ordering::Relaxed), 1);
         assert_eq!(layer.shed.load(Ordering::Relaxed), 1);
         // The rejection carries the policy's machine-readable back-off.
-        let retry = odp_wire::overload::parse_rejection(&out.termination, &out.results);
-        assert_eq!(retry, Some(AdmissionPolicy::default().retry_after));
+        assert_eq!(
+            crate::invocation::interpret(InterfaceId(1), out),
+            Err(crate::InvokeError::Rejected {
+                retry_after: AdmissionPolicy::default().retry_after
+            })
+        );
     }
 
     #[test]
@@ -536,7 +541,7 @@ mod tests {
         // …and the next arrival is shed in local time, not deadline time.
         let t = Instant::now();
         let out = layer.dispatch(&ctx_with(CallPriority::Normal, None), "op", vec![], &target);
-        assert_eq!(out.termination, terminations::REJECTED);
+        assert_eq!(out.termination, Termination::Engineering(Code::Rejected));
         assert!(
             t.elapsed() < Duration::from_millis(100),
             "shed must be immediate, took {:?}",
@@ -635,7 +640,7 @@ mod tests {
             vec![],
             &slow,
         );
-        assert_eq!(out.termination, terminations::REJECTED);
+        assert_eq!(out.termination, Termination::Engineering(Code::Rejected));
         assert!(
             t.elapsed() < Duration::from_millis(40),
             "infeasible call must be shed long before the ~50 ms wait, took {:?}",

@@ -27,7 +27,7 @@
 use crate::invocation::{
     self, AccessLayer, CallRequest, ClientBinding, InvokeError, Join, ServerLayer, ServerNext, Site,
 };
-use crate::object::{self, terminations, CallCtx, Outcome, Servant};
+use crate::object::{self, CallCtx, Code, Outcome, Servant};
 use crate::transparency::TransparencyPolicy;
 use odp_net::{CallQos, NetError, RexEndpoint, RexRequest, Transport};
 use odp_types::{ids::InterfaceIdAllocator, InterfaceId, InterfaceType, NodeId};
@@ -256,7 +256,7 @@ impl Capsule {
     }
 
     /// Explicitly closes an interface (§7.3). Subsequent invocations get a
-    /// [`terminations::CLOSED`] termination. Returns the servant if it was
+    /// [`Code::Closed`] termination. Returns the servant if it was
     /// active.
     pub fn close(&self, iface: InterfaceId) -> Option<Arc<dyn Servant>> {
         let mut exports = self.exports.write();
@@ -449,7 +449,7 @@ impl Capsule {
             Ok(parts) => parts,
             Err(why) => {
                 return object::encode_outcome_pooled(&Outcome::engineering(
-                    terminations::TYPE_ERROR,
+                    Code::TypeError,
                     vec![Value::str(format!("bad request payload: {why}"))],
                 ))
             }
@@ -480,24 +480,15 @@ impl Capsule {
         self.stats.served.fetch_add(1, Ordering::Relaxed);
         let (servant, config, serial) = {
             let exports = self.exports.read();
+            let iface = Value::Int(ctx.iface.raw() as i64);
             match exports.get(&ctx.iface) {
-                None => {
-                    return Outcome::engineering(
-                        terminations::NO_SUCH_INTERFACE,
-                        vec![Value::Int(ctx.iface.raw() as i64)],
-                    )
-                }
+                None => return Outcome::engineering(Code::NoSuchInterface, vec![iface]),
                 Some(ExportEntry::Closed) => {
-                    return Outcome::engineering(
-                        terminations::CLOSED,
-                        vec![Value::Int(ctx.iface.raw() as i64)],
-                    )
+                    return Outcome::engineering(Code::Closed, vec![iface])
                 }
                 Some(ExportEntry::Moved { to, epoch }) => {
-                    return Outcome::engineering(
-                        terminations::MOVED,
-                        vec![Value::Int(to.raw() as i64), Value::Int(*epoch as i64)],
-                    )
+                    let hint = vec![Value::Int(to.raw() as i64), Value::Int(*epoch as i64)];
+                    return Outcome::engineering(Code::Moved, hint);
                 }
                 Some(ExportEntry::Active {
                     servant,
@@ -510,16 +501,11 @@ impl Capsule {
                     // caller checked against its own reference, which may
                     // not match the export (a stale or forged signature).
                     if let Err(e) = invocation::check_call(ty, op, ctx.announcement, &args) {
-                        return match e {
-                            InvokeError::NoSuchOperation(op) => Outcome::engineering(
-                                terminations::NO_SUCH_OPERATION,
-                                vec![Value::str(op)],
-                            ),
-                            e => Outcome::engineering(
-                                terminations::TYPE_ERROR,
-                                vec![Value::str(e.to_string())],
-                            ),
+                        let (code, why) = match e {
+                            InvokeError::NoSuchOperation(op) => (Code::NoSuchOperation, op),
+                            e => (Code::TypeError, e.to_string()),
                         };
+                        return Outcome::engineering(code, vec![Value::str(why)]);
                     }
                     (Arc::clone(servant), Arc::clone(config), Arc::clone(serial))
                 }

@@ -12,12 +12,12 @@
 //!
 //! Below the stub every layer sees one contract: a call that the
 //! infrastructure could not complete is an `Err`, never an `Ok` outcome.
-//! The access layer maps reserved `__…` terminations to typed
-//! [`InvokeError`]s once, so the retry, breaker, location and group layers
-//! react to `Rejected`, `Stale` or `NoSuchInterface` without comparing
-//! strings; a reserved name the enum does not model arrives intact as
-//! [`InvokeError::Unhandled`]. Every request carries one absolute deadline,
-//! stamped by the stub.
+//! The access layer maps each engineering [`Code`] to its typed
+//! [`InvokeError`] once, in one exhaustive match, so the retry, breaker,
+//! location and group layers react to `Rejected`, `Stale` or `Redirect`
+//! without comparing strings. [`InvokeError::across_boundary`] is the
+//! inverse, for relays that answer another domain. Every request carries
+//! one absolute deadline, stamped by the stub.
 //!
 //! Server-side interception mirrors the client stack: [`ServerLayer`]s
 //! installed at export time wrap the servant (security guards, concurrency
@@ -25,7 +25,7 @@
 //! their crates and linked here).
 
 use crate::capsule::Capsule;
-use crate::object::{self, terminations, CallCtx, Outcome};
+use crate::object::{self, CallCtx, Code, Outcome, Termination};
 use odp_net::{CallQos, RexError};
 use odp_telemetry::{LayerMetrics, SpanRecord, TraceContext};
 use odp_types::{conformance, ConformanceError, InterfaceId, InterfaceType, NodeId, OperationKind};
@@ -128,10 +128,12 @@ pub enum InvokeError {
     NotConformant(ConformanceError),
     /// Reply or request bytes did not decode.
     Protocol(String),
-    /// The server answered with a reserved termination this enum does not
-    /// model (`__passive`, a group's `__grp_not_sequencer`…). The outcome
-    /// is kept so the layer that owns the name can read it.
-    Unhandled(Outcome),
+    /// The interface is passivated and must be activated before use (§5.5).
+    Passive(String),
+    /// Another node serves the call (a replica group's sequencer).
+    Redirect(NodeId),
+    /// The caller acted on state the receiver has passed; the number it expects.
+    Fenced(u64),
 }
 
 impl fmt::Display for InvokeError {
@@ -160,9 +162,25 @@ impl fmt::Display for InvokeError {
             InvokeError::RemoteTypeError(why) => write!(f, "server rejected arguments: {why}"),
             InvokeError::NotConformant(e) => write!(f, "signature mismatch: {e}"),
             InvokeError::Protocol(why) => write!(f, "protocol error: {why}"),
-            InvokeError::Unhandled(o) => {
-                write!(f, "unhandled engineering termination `{}`", o.termination)
-            }
+            InvokeError::Passive(why) => write!(f, "interface is passive: {why}"),
+            InvokeError::Redirect(node) => write!(f, "redirected to {node}"),
+            InvokeError::Fenced(next) => write!(f, "fenced: receiver expects {next}"),
+        }
+    }
+}
+
+impl InvokeError {
+    /// What a relay (federation gateway or proxy) answers when the call it
+    /// forwarded failed with `self`: the inverse of `interpret` for the codes
+    /// that cross a domain boundary, `Denied` and `Aborted`, which mean the
+    /// same on either side. Codes naming the far domain's nodes (`Moved`,
+    /// `NoSuchInterface`, `Closed`…) and local failures become a `fail`.
+    #[must_use]
+    pub fn across_boundary(self) -> Outcome {
+        match self {
+            InvokeError::Denied(why) => Outcome::engineering(Code::Denied, vec![Value::str(why)]),
+            InvokeError::Aborted(why) => Outcome::engineering(Code::Aborted, vec![Value::str(why)]),
+            e => Outcome::fail(format!("forwarding failed: {e}")),
         }
     }
 }
@@ -243,7 +261,7 @@ impl AccessLayer {
     ///
     /// # Errors
     ///
-    /// Every engineering failure, including a reserved termination the
+    /// Every engineering failure, including an engineering code the
     /// server answered with, which is mapped here and nowhere else: an
     /// `Ok` outcome from here is never an engineering one.
     pub fn invoke_base(&self, req: CallRequest) -> Result<Outcome, InvokeError> {
@@ -345,8 +363,8 @@ pub(crate) fn check_call(
     Ok(())
 }
 
-/// Decodes a `[Int(node), Int(epoch)]` location, as a `__moved` tombstone
-/// and the relocator's lookup answer carry it.
+/// Decodes a `[Int(node), Int(epoch)]` location, as a [`Code::Moved`]
+/// tombstone and the relocator's lookup answer carry it.
 pub(crate) fn location_of(results: &[Value]) -> Option<(NodeId, u64)> {
     match results {
         [Value::Int(node), Value::Int(epoch), ..] => Some((NodeId(*node as u64), *epoch as u64)),
@@ -354,38 +372,33 @@ pub(crate) fn location_of(results: &[Value]) -> Option<(NodeId, u64)> {
     }
 }
 
-/// Maps a reserved engineering termination to its [`InvokeError`]; an
+/// Maps an engineering [`Code`] to its [`InvokeError`]; an `ok` or
 /// application outcome passes through.
-fn interpret(iface: InterfaceId, outcome: Outcome) -> Result<Outcome, InvokeError> {
-    if !outcome.is_engineering() {
+pub(crate) fn interpret(iface: InterfaceId, outcome: Outcome) -> Result<Outcome, InvokeError> {
+    let Termination::Engineering(code) = outcome.termination else {
         return Ok(outcome);
-    }
-    let why = || {
-        outcome
-            .result()
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_owned()
     };
-    Err(match outcome.termination.as_str() {
-        terminations::NO_SUCH_INTERFACE => InvokeError::NoSuchInterface(iface),
-        terminations::NO_SUCH_OPERATION => InvokeError::NoSuchOperation(why()),
-        terminations::CLOSED => InvokeError::Closed(iface),
-        terminations::MOVED => InvokeError::Stale {
+    let results = &outcome.results;
+    let why = results.first().and_then(Value::as_str).unwrap_or("");
+    let int = results.first().and_then(Value::as_int);
+    let malformed = || InvokeError::Protocol(format!("{code:?} without its number"));
+    Err(match code {
+        Code::NoSuchInterface => InvokeError::NoSuchInterface(iface),
+        Code::NoSuchOperation => InvokeError::NoSuchOperation(why.to_owned()),
+        Code::Closed => InvokeError::Closed(iface),
+        Code::Moved => InvokeError::Stale {
             iface,
-            hint: location_of(&outcome.results),
+            hint: location_of(results),
         },
-        terminations::TYPE_ERROR => InvokeError::RemoteTypeError(why()),
-        terminations::DENIED => InvokeError::Denied(why()),
-        terminations::ABORTED => InvokeError::Aborted(why()),
-        terminations::REJECTED => InvokeError::Rejected {
-            retry_after: odp_wire::overload::parse_rejection(
-                &outcome.termination,
-                &outcome.results,
-            )
-            .unwrap_or_default(),
+        Code::TypeError => InvokeError::RemoteTypeError(why.to_owned()),
+        Code::Denied => InvokeError::Denied(why.to_owned()),
+        Code::Aborted => InvokeError::Aborted(why.to_owned()),
+        Code::Passive => InvokeError::Passive(why.to_owned()),
+        Code::Rejected => InvokeError::Rejected {
+            retry_after: Duration::from_micros(int.unwrap_or(0).max(0) as u64),
         },
-        _ => InvokeError::Unhandled(outcome),
+        Code::Redirect => int.map_or_else(malformed, |n| InvokeError::Redirect(NodeId(n as u64))),
+        Code::Fenced => int.map_or_else(malformed, |n| InvokeError::Fenced(n as u64)),
     })
 }
 
@@ -445,7 +458,7 @@ impl Finished for Result<Outcome, InvokeError> {
     }
     fn termination(&self) -> String {
         match self {
-            Ok(outcome) => outcome.termination.clone(),
+            Ok(outcome) => outcome.termination.to_string(),
             Err(e) => format!("error: {e}"),
         }
     }
@@ -456,7 +469,7 @@ impl Finished for Outcome {
         self.is_engineering()
     }
     fn termination(&self) -> String {
-        self.termination.clone()
+        self.termination.to_string()
     }
 }
 
@@ -708,4 +721,44 @@ pub fn check_bind(
     required: &odp_types::InterfaceType,
 ) -> Result<(), InvokeError> {
     conformance::conforms(provided, required).map_err(InvokeError::NotConformant)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The access layer reads each code into its error, refuses a code
+    /// whose number is missing, and `across_boundary` inverts it for the
+    /// codes that cross and flattens the rest.
+    #[test]
+    fn codes_map_to_errors_and_back() {
+        let iface = InterfaceId(7);
+        let read = |code, results| interpret(iface, Outcome::engineering(code, results));
+        assert_eq!(
+            read(Code::Redirect, vec![Value::Int(3)]),
+            Err(InvokeError::Redirect(NodeId(3)))
+        );
+        assert_eq!(
+            read(Code::Fenced, vec![Value::Int(9)]),
+            Err(InvokeError::Fenced(9))
+        );
+        assert_eq!(
+            read(Code::Passive, vec![Value::str("cold")]),
+            Err(InvokeError::Passive("cold".to_owned()))
+        );
+        for code in [Code::Redirect, Code::Fenced] {
+            assert!(matches!(read(code, vec![]), Err(InvokeError::Protocol(_))));
+        }
+        let app = Outcome::new("Moved", vec![Value::Int(99)]);
+        assert_eq!(interpret(iface, app.clone()), Ok(app));
+
+        for e in [
+            InvokeError::Denied("no".to_owned()),
+            InvokeError::Aborted("busy".to_owned()),
+        ] {
+            assert_eq!(interpret(iface, e.clone().across_boundary()), Err(e));
+        }
+        let moved = InvokeError::Stale { iface, hint: None }.across_boundary();
+        assert_eq!(moved.termination, "fail");
+    }
 }

@@ -65,7 +65,7 @@ pub use invocation::{
 pub use management::{
     management_interface_type, telemetry_interface_type, ManagementServant, TelemetryServant,
 };
-pub use object::{terminations, CallCtx, FnServant, Outcome, Servant};
+pub use object::{CallCtx, Code, FnServant, Outcome, Servant, Termination};
 pub use relocator::{RelocationServant, RELOCATOR_OP_LOOKUP, RELOCATOR_OP_REGISTER};
 pub use transparency::{
     BreakerState, CircuitBreakerPolicy, RetryBudget, RetryPolicy, TransparencyPolicy,

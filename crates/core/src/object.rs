@@ -9,9 +9,9 @@
 //!
 //! §5.1: *"Each operation should be permitted to have a range of possible
 //! outcomes, each one of which carries its own package of results."* An
-//! [`Outcome`] is one element of that range. Failures of the infrastructure
-//! itself are signalled with reserved terminations (see [`terminations`]) so
-//! that they can never be confused with application outcomes.
+//! [`Outcome`] is one element of that range. Its [`Termination`] is `ok`,
+//! an application name or an engineering [`Code`], so no application
+//! outcome, however spelled, is taken for an infrastructure failure.
 
 use odp_types::{InterfaceType, NodeId, TxnId};
 use odp_wire::encode::{encode_str_value, put_record_header, put_str, put_varint};
@@ -19,45 +19,96 @@ use odp_wire::{encode_value, ByteCount, EncodeBuf, PooledBuf, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Reserved engineering terminations. Application code must not use names
-/// starting with `__`; the runtime's layers produce and consume these.
-pub mod terminations {
-    /// Target interface is not exported at the reached node.
-    pub const NO_SUCH_INTERFACE: &str = "__no_such_interface";
-    /// Operation name not in the interface signature.
-    pub const NO_SUCH_OPERATION: &str = "__no_such_operation";
-    /// Interface was explicitly closed (§7.3: "provide a means to
-    /// explicitly close an interface: subsequent attempts to access the
-    /// interface produce an error indication as their outcome").
-    pub const CLOSED: &str = "__closed";
-    /// Interface has migrated; results carry `[new_home, epoch]` (§5.5).
-    pub const MOVED: &str = "__moved";
-    /// Arguments failed dynamic type checking at the server.
-    pub const TYPE_ERROR: &str = "__type_error";
-    /// A security guard refused the interaction (§7.1).
-    pub const DENIED: &str = "__denied";
-    /// A concurrency-control layer aborted the interaction (§5.2).
-    pub const ABORTED: &str = "__aborted";
-    /// The interface is passivated and must be activated before use (§5.5).
-    pub const PASSIVE: &str = "__passive";
-    /// Admission control shed the call before dispatch; results carry
-    /// `[Int(retry_after_µs)]`. Aliases the wire crate's constant so the
-    /// envelope codec and the dispatch path can never drift apart.
-    pub const REJECTED: &str = odp_wire::overload::REJECTED_TERMINATION;
+/// The closed table of engineering terminations, each with the results it
+/// carries; the access layer maps each to its [`crate::InvokeError`]. On the
+/// wire a code is its discriminant, like JSON-RPC's reserved error codes:
+/// `0` is `ok`, positive numbers are unassigned, an application name is a string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Code {
+    /// The interface is not exported at the reached node; `[Int(iface)]`.
+    NoSuchInterface = -1,
+    /// The operation is not in the interface's signature; `[Str(op)]`.
+    NoSuchOperation = -2,
+    /// The interface was explicitly closed (§7.3); `[Int(iface)]`.
+    Closed = -3,
+    /// The interface has migrated (§5.5); `[Int(new_home), Int(epoch)]`.
+    Moved = -4,
+    /// The arguments failed type checking at the server; `[Str(why)]`.
+    TypeError = -5,
+    /// A security guard refused the interaction (§7.1); `[Str(why)]`.
+    Denied = -6,
+    /// Concurrency control aborted the interaction (§5.2); `[Str(why)]`.
+    Aborted = -7,
+    /// The interface is passive and must be activated (§5.5); `[Str(why)]`.
+    Passive = -8,
+    /// Admission control shed the call unrun; `[Int(retry_after_µs)]`.
+    Rejected = -9,
+    /// Another node serves the call (a group's sequencer); `[Int(node)]`.
+    Redirect = -10,
+    /// The caller acted on state the receiver has passed; `[Int(next)]`.
+    Fenced = -11,
+}
 
-    /// True if `name` is reserved for the engineering infrastructure.
-    #[must_use]
-    pub fn is_reserved(name: &str) -> bool {
-        name.starts_with("__")
+impl Code {
+    /// Every code, in table order.
+    const ALL: [Code; 11] = [
+        Code::NoSuchInterface,
+        Code::NoSuchOperation,
+        Code::Closed,
+        Code::Moved,
+        Code::TypeError,
+        Code::Denied,
+        Code::Aborted,
+        Code::Passive,
+        Code::Rejected,
+        Code::Redirect,
+        Code::Fenced,
+    ];
+
+    /// The code with wire number `n`, if the table has one.
+    fn from_wire(n: i64) -> Option<Code> {
+        Code::ALL.into_iter().find(|c| *c as i64 == n)
+    }
+}
+
+/// How an invocation ended: `ok`, an application name, or an engineering
+/// [`Code`]. No string equals a code, so `outcome.termination ==
+/// "overdrawn"` reads as it should; a code prints as its variant name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Termination {
+    /// The conventional success termination, `"ok"`.
+    Ok,
+    /// An application-defined termination.
+    App(String),
+    /// An engineering termination raised by the infrastructure.
+    Engineering(Code),
+}
+
+impl PartialEq<&str> for Termination {
+    fn eq(&self, other: &&str) -> bool {
+        match self {
+            Termination::Ok => *other == "ok",
+            Termination::App(name) => name == other,
+            Termination::Engineering(_) => false,
+        }
+    }
+}
+
+impl fmt::Display for Termination {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Termination::Ok => f.write_str("ok"),
+            Termination::App(name) => f.write_str(name),
+            Termination::Engineering(code) => write!(f, "{code:?}"),
+        }
     }
 }
 
 /// One termination of an invocation plus its results.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Outcome {
-    /// Termination name (e.g. `"ok"`, `"overdrawn"`, or a reserved
-    /// engineering termination).
-    pub termination: String,
+    /// How the invocation ended.
+    pub termination: Termination,
     /// The package of results carried by this termination.
     pub results: Vec<Value>,
 }
@@ -67,36 +118,34 @@ impl Outcome {
     #[must_use]
     pub fn ok(results: Vec<Value>) -> Self {
         Self {
-            termination: "ok".to_owned(),
+            termination: Termination::Ok,
             results,
         }
     }
 
-    /// An application-defined termination.
+    /// An application-defined termination (`"ok"` is [`Termination::Ok`]).
     #[must_use]
     pub fn new<S: Into<String>>(termination: S, results: Vec<Value>) -> Self {
-        Self {
-            termination: termination.into(),
-            results,
+        match termination.into() {
+            ok if ok == "ok" => Self::ok(results),
+            name => Self {
+                termination: Termination::App(name),
+                results,
+            },
         }
     }
 
     /// The conventional failure termination with a message.
     #[must_use]
     pub fn fail<S: Into<String>>(message: S) -> Self {
-        Self {
-            termination: "fail".to_owned(),
-            results: vec![Value::str(message.into())],
-        }
+        Self::new("fail", vec![Value::str(message.into())])
     }
 
-    /// A reserved engineering termination (crate-public constructor so
-    /// other platform crates can produce them).
+    /// An engineering termination, with `results` as [`Code`] lists them.
     #[must_use]
-    pub fn engineering(termination: &'static str, results: Vec<Value>) -> Self {
-        debug_assert!(terminations::is_reserved(termination));
+    pub fn engineering(code: Code, results: Vec<Value>) -> Self {
         Self {
-            termination: termination.to_owned(),
+            termination: Termination::Engineering(code),
             results,
         }
     }
@@ -107,10 +156,10 @@ impl Outcome {
         self.termination == "ok"
     }
 
-    /// True if the termination is reserved for the infrastructure.
+    /// True if the termination is an engineering code.
     #[must_use]
     pub fn is_engineering(&self) -> bool {
-        terminations::is_reserved(&self.termination)
+        matches!(self.termination, Termination::Engineering(_))
     }
 
     /// First result, if any.
@@ -256,13 +305,17 @@ where
     }
 }
 
-/// Writes an outcome as a REX reply body, `[Str(termination), results…]`,
-/// streaming the termination string and results without cloning them into
-/// an intermediate `Vec<Value>`.
+/// Writes an outcome as a REX reply body, `[Int(0) | Int(code) | Str(name),
+/// results…]`, streaming the results without cloning them into an
+/// intermediate `Vec<Value>`.
 fn put_outcome<B: EncodeBuf>(buf: &mut B, outcome: &Outcome) {
     buf.push_u8(odp_wire::WIRE_VERSION);
     put_varint(buf, 1 + outcome.results.len() as u64);
-    encode_str_value(buf, &outcome.termination);
+    match &outcome.termination {
+        Termination::Ok => encode_value(buf, &Value::Int(0)),
+        Termination::App(name) => encode_str_value(buf, name),
+        Termination::Engineering(code) => encode_value(buf, &Value::Int(*code as i64)),
+    }
     for v in &outcome.results {
         encode_value(buf, v);
     }
@@ -291,8 +344,16 @@ pub fn decode_outcome_frame(body: &bytes::Bytes) -> Result<Outcome, String> {
         return Err("empty outcome payload".to_owned());
     }
     let termination = match values.remove(0) {
-        Value::Str(s) => s.into_string(),
-        other => return Err(format!("termination must be a string, got {other:?}")),
+        Value::Int(0) => Termination::Ok,
+        Value::Int(n) => Termination::Engineering(
+            Code::from_wire(n).ok_or_else(|| format!("unknown termination code {n}"))?,
+        ),
+        Value::Str(s) => return Ok(Outcome::new(s.into_string(), values)),
+        other => {
+            return Err(format!(
+                "termination must be a code or a name, got {other:?}"
+            ))
+        }
     };
     Ok(Outcome {
         termination,
@@ -362,8 +423,9 @@ mod tests {
         let fail = Outcome::fail("boom");
         assert!(!fail.is_ok());
         assert!(!fail.is_engineering());
-        let eng = Outcome::engineering(terminations::CLOSED, vec![]);
+        let eng = Outcome::engineering(Code::Closed, vec![]);
         assert!(eng.is_engineering());
+        assert_eq!(Outcome::new("ok", vec![]).termination, Termination::Ok);
     }
 
     /// The pooled outcome encoder writes exactly the generic marshaller's
@@ -405,10 +467,15 @@ mod tests {
         let junk = bytes::Bytes::from_static(b"junk");
         assert!(decode_outcome_frame(&junk).is_err());
         assert!(decode_request_frame(&junk).is_err());
-        // A valid payload whose first value is not a record/string.
+        // A valid payload whose first value is not a record, nor a code
+        // in the table.
         let bytes = odp_wire::marshal(&[Value::Int(1)]);
         assert!(decode_outcome_frame(&bytes).is_err());
         assert!(decode_request_frame(&bytes).is_err());
+        let unknown_code = odp_wire::marshal(&[Value::Int(-12)]);
+        assert!(decode_outcome_frame(&unknown_code).is_err());
+        let neither = odp_wire::marshal(&[Value::Bool(true)]);
+        assert!(decode_outcome_frame(&neither).is_err());
         let empty = odp_wire::marshal(&[]);
         assert!(decode_outcome_frame(&empty).is_err());
         assert!(decode_request_frame(&empty).is_err());
@@ -444,9 +511,26 @@ mod tests {
         assert!(servant.restore(&[]).is_err());
     }
 
+    /// Every code, and `ok`, crosses the wire as a small integer and comes
+    /// back as itself; an application name spelled like a code stays an
+    /// application name.
     #[test]
-    fn reserved_names_detected() {
-        assert!(terminations::is_reserved("__moved"));
-        assert!(!terminations::is_reserved("ok"));
+    fn every_code_round_trips_through_wire() {
+        for code in Code::ALL {
+            let out = Outcome::engineering(code, vec![Value::Int(7)]);
+            let body = encode_outcome_pooled(&out);
+            assert_eq!(
+                &body[..],
+                &odp_wire::marshal(&[Value::Int(code as i64), Value::Int(7)])[..]
+            );
+            assert_eq!(decode_outcome_frame(&body.freeze()).unwrap(), out);
+            assert_ne!(out.termination, format!("{code:?}").as_str());
+        }
+        let ok = encode_outcome_pooled(&Outcome::ok(vec![]));
+        assert_eq!(&ok[..], &odp_wire::marshal(&[Value::Int(0)])[..]);
+        let forged = Outcome::new("Moved", vec![]);
+        assert!(!forged.is_engineering());
+        let body = encode_outcome_pooled(&forged).freeze();
+        assert_eq!(decode_outcome_frame(&body).unwrap(), forged);
     }
 }

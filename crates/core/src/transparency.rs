@@ -569,7 +569,7 @@ impl fmt::Debug for CircuitBreakerLayer {
 ///
 /// Two information sources, in order of preference:
 ///
-/// 1. **Forwarding tombstones**: the old home answers `__moved(new, epoch)`,
+/// 1. **Forwarding tombstones**: the old home answers `Code::Moved(new, epoch)`,
 ///    which arrives as [`InvokeError::Stale`] with a hint — cheap and
 ///    precise.
 /// 2. **The relocation service**: consulted once when the old home is gone

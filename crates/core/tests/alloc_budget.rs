@@ -1,12 +1,13 @@
-//! Heap allocations per warmed co-located interrogation stay within a fixed
-//! budget. A co-located call passes its target reference (and with it the
-//! interface signature) through the stub and every client layer; a deep copy
-//! of a three-operation signature alone costs about a dozen allocations, so
-//! the budget catches any layer that starts copying it again.
+//! Heap allocations per warmed interrogation stay within a fixed budget. A
+//! co-located call passes its target reference (and with it the interface
+//! signature) through the stub and every client layer; a deep copy of a
+//! three-operation signature alone costs about a dozen allocations, so the
+//! budget catches any layer that starts copying it again.
 //!
-//! The counter is per thread: a co-located interrogation runs entirely on
-//! the caller's thread, and background threads (or tests running in
-//! parallel) do not disturb the count.
+//! A co-located interrogation runs entirely on the caller's thread, so it is
+//! counted on that thread alone. A remote one also runs on the transport's
+//! and the server's threads, so it is counted on every thread of the
+//! process, and the tests take turns so that none counts another's calls.
 
 use odp_core::{
     AdmissionLayer, AdmissionPolicy, CallCtx, ExportConfig, Outcome, Servant, ServerLayer, World,
@@ -16,23 +17,30 @@ use odp_types::{InterfaceType, TypeSpec};
 use odp_wire::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// Budget per call. The signature copies this guards against add ~13 each.
-const MAX_ALLOCS_PER_CALL: u64 = 16;
+/// Budget per co-located call (measured: 10). The signature copies this
+/// guards against add ~13 each.
+const MAX_ALLOCS_PER_CALL: u64 = 10;
+/// Budget per remote call, caller and server together (measured: 19).
+const MAX_ALLOCS_PER_REMOTE_CALL: u64 = 19;
 const WARMUP_CALLS: u64 = 20_000;
 const MEASURED_CALLS: u64 = 10_000;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
+static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Held by every test while it counts.
+static TURN: Mutex<()> = Mutex::new(());
 
 /// Forwards to the system allocator, counting every call that hands out
-/// memory on the calling thread.
+/// memory, on the calling thread and in the whole process.
 struct CountingAlloc;
 
 fn count_one() {
+    PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
     // `try_with` because the allocator also runs during thread teardown.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
@@ -69,6 +77,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs_on_this_thread() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn allocs_in_process() -> u64 {
+    PROCESS_ALLOCS.load(Ordering::Relaxed)
 }
 
 /// Ledger-shaped servant: `balance(acct)`, `deposit(acct, amt)` and the
@@ -116,10 +128,12 @@ impl Servant for Ledger {
     }
 }
 
-/// Mean allocations per warmed `interrogate` on one capsule with the
-/// default transparency policy, behind `layers` at the server.
-fn allocs_per_call(layers: Vec<Arc<dyn ServerLayer>>) -> f64 {
-    let world = World::builder().capsules(1).build();
+/// Mean allocations per warmed `interrogate`, as `count` counts them,
+/// from capsule `caller` to an export on capsule 0 with the default
+/// transparency policy, behind `layers` at the server.
+fn allocs_per_call(layers: Vec<Arc<dyn ServerLayer>>, caller: usize, count: fn() -> u64) -> f64 {
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+    let world = World::builder().capsules(2).build();
     let capsule = world.capsule(0);
     let ledger = Arc::new(Ledger {
         balances: std::array::from_fn(|_| AtomicI64::new(0)),
@@ -131,7 +145,7 @@ fn allocs_per_call(layers: Vec<Arc<dyn ServerLayer>>) -> f64 {
             ..ExportConfig::default()
         },
     );
-    let binding = capsule.bind(reference);
+    let binding = world.capsule(caller).bind(reference);
     let call = |i: u64| {
         let account = Value::Int((i % 16) as i64);
         let outcome = if i.is_multiple_of(2) {
@@ -144,29 +158,37 @@ fn allocs_per_call(layers: Vec<Arc<dyn ServerLayer>>) -> f64 {
     for i in 0..WARMUP_CALLS {
         call(i);
     }
-    let before = allocs_on_this_thread();
+    let before = count();
     for i in 0..MEASURED_CALLS {
         call(i);
     }
-    let allocs = allocs_on_this_thread() - before;
+    let allocs = count() - before;
     allocs as f64 / MEASURED_CALLS as f64
 }
 
-fn assert_within_budget(label: &str, per_call: f64) {
+fn assert_within_budget(label: &str, per_call: f64, budget: u64) {
     println!("{label}: {per_call:.2} allocations per call");
     assert!(
-        per_call <= MAX_ALLOCS_PER_CALL as f64,
-        "{label}: {per_call:.2} allocations per co-located call, budget {MAX_ALLOCS_PER_CALL}"
+        per_call <= budget as f64,
+        "{label}: {per_call:.2} allocations per call, budget {budget}"
     );
 }
 
 #[test]
 fn colocated_interrogation_stays_within_allocation_budget() {
-    assert_within_budget("no server layers", allocs_per_call(Vec::new()));
+    let per_call = allocs_per_call(Vec::new(), 0, allocs_on_this_thread);
+    assert_within_budget("no server layers", per_call, MAX_ALLOCS_PER_CALL);
 }
 
 #[test]
 fn colocated_interrogation_behind_admission_stays_within_allocation_budget() {
     let admission = AdmissionLayer::new(AdmissionPolicy::default());
-    assert_within_budget("admission", allocs_per_call(vec![admission]));
+    let per_call = allocs_per_call(vec![admission], 0, allocs_on_this_thread);
+    assert_within_budget("admission", per_call, MAX_ALLOCS_PER_CALL);
+}
+
+#[test]
+fn remote_interrogation_stays_within_allocation_budget() {
+    let per_call = allocs_per_call(Vec::new(), 1, allocs_in_process);
+    assert_within_budget("remote", per_call, MAX_ALLOCS_PER_REMOTE_CALL);
 }

@@ -2,7 +2,7 @@
 //! migration transparency behaviour end to end over the simulated network.
 
 use odp_core::{
-    terminations, CallCtx, ExportConfig, FnServant, InvokeError, Outcome, Servant, SyncDiscipline,
+    CallCtx, ExportConfig, FnServant, InvokeError, Outcome, Servant, SyncDiscipline,
     TransparencyPolicy, World,
 };
 use odp_net::{CallQos, LinkConfig, RexError};
@@ -623,10 +623,28 @@ fn snapshot_restore_round_trips_counter_state() {
 }
 
 #[test]
-fn engineering_terminations_are_reserved() {
-    assert!(terminations::is_reserved(terminations::MOVED));
-    let out = Outcome::ok(vec![]);
-    assert!(!out.is_engineering());
+fn an_application_name_spelled_like_a_code_is_not_one() {
+    // A servant answers an application termination spelled like a
+    // forwarding tombstone, with a plausible `[node, epoch]` hint. The
+    // caller gets that outcome, and no layer retargets the shared
+    // reference to node 99: only the infrastructure raises codes.
+    let world = World::quick();
+    let ty = InterfaceTypeBuilder::new()
+        .interrogation("read", vec![], vec![OutcomeSig::ok(vec![])])
+        .build();
+    let servant = FnServant::new(ty, |_op, _args, _ctx| {
+        Outcome::new("__moved", vec![Value::Int(99), Value::Int(1000)])
+    });
+    let r = world.capsule(0).export(Arc::new(servant));
+    for caller in [1, 0] {
+        let binding = world.capsule(caller).bind(r.clone());
+        let out = binding.interrogate("read", vec![]).unwrap();
+        assert_eq!(out.termination, "__moved");
+        assert!(!out.is_engineering());
+        assert_eq!(out.results, vec![Value::Int(99), Value::Int(1000)]);
+        assert_eq!(binding.target().home, r.home);
+        assert_eq!(binding.target().epoch, r.epoch);
+    }
 }
 
 #[test]

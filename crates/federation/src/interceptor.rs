@@ -22,8 +22,8 @@ use crate::domain::DomainMap;
 use crate::proxy::ProxyServant;
 use crate::translate::{IdentityTranslator, Translator};
 use odp_core::{
-    terminations, CallCtx, CallRequest, Capsule, ClientLayer, ClientNext, InvokeError, Outcome,
-    Servant, TransparencyPolicy,
+    CallCtx, CallRequest, Capsule, ClientLayer, ClientNext, Code, InvokeError, Outcome, Servant,
+    TransparencyPolicy,
 };
 use odp_types::ids::InterfaceIdAllocator;
 use odp_types::signature::{InterfaceTypeBuilder, OperationSig, OutcomeSig};
@@ -242,12 +242,8 @@ impl Gateway {
             return Outcome::fail("relay requires (iface, op, args, from_domain, announcement)");
         };
         if !self.policy.admits(from_domain, op) {
-            return Outcome::engineering(
-                terminations::DENIED,
-                vec![Value::str(format!(
-                    "domain `{from_domain}` may not invoke `{op}` here"
-                ))],
-            );
+            let why = format!("domain `{from_domain}` may not invoke `{op}` here");
+            return Outcome::engineering(Code::Denied, vec![Value::str(why)]);
         }
         let iface = InterfaceId(iface as u64);
         self.accounting.record(from_domain, iface, payload.len());
@@ -277,14 +273,10 @@ impl Gateway {
         } else {
             binding.interrogate_annotated(op, app_args, ctx.annotations.clone())
         };
-        let outcome = match forwarded {
-            Ok(outcome) => outcome,
-            Err(InvokeError::Denied(why)) => {
-                return Outcome::engineering(terminations::DENIED, vec![Value::str(why)])
-            }
-            Err(e) => return Outcome::fail(format!("gateway forwarding failed: {e}")),
+        let mut outcome = match forwarded {
+            Ok(outcome) => self.translator.translate_outcome(op, outcome),
+            Err(e) => return e.across_boundary(),
         };
-        let mut outcome = self.translator.translate_outcome(op, outcome);
         if self.proxy_results {
             self.substitute_proxies(&capsule, &mut outcome);
         }

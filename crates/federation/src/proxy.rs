@@ -7,7 +7,7 @@
 //! binding, so invocations on the proxy pay exactly the crossing costs the
 //! federation's policies impose.
 
-use odp_core::{CallCtx, Capsule, Outcome, Servant, TransparencyPolicy};
+use odp_core::{CallCtx, Capsule, InvokeError, Outcome, Servant, TransparencyPolicy};
 use odp_types::InterfaceType;
 use odp_wire::{InterfaceRef, Value};
 use std::sync::{Arc, Weak};
@@ -52,16 +52,12 @@ impl Servant for ProxyServant {
             return Outcome::fail("proxy host has shut down");
         };
         let binding = capsule.bind_with(self.principal.clone(), self.policy.clone());
-        if ctx.announcement {
-            return match binding.announce(op, args) {
-                Ok(()) => Outcome::ok(vec![]),
-                Err(e) => Outcome::fail(e.to_string()),
-            };
-        }
-        match binding.interrogate_annotated(op, args, ctx.annotations.clone()) {
-            Ok(outcome) => outcome,
-            Err(e) => Outcome::fail(format!("proxy forwarding failed: {e}")),
-        }
+        let forwarded = if ctx.announcement {
+            binding.announce(op, args).map(|()| Outcome::ok(vec![]))
+        } else {
+            binding.interrogate_annotated(op, args, ctx.annotations.clone())
+        };
+        forwarded.unwrap_or_else(InvokeError::across_boundary)
     }
 }
 

@@ -2,7 +2,7 @@
 //! domains, with interception, accounting, translation, proxies and
 //! multi-hop chains.
 
-use odp_core::{FnServant, InvokeError, Outcome, Servant, TransparencyPolicy, World};
+use odp_core::{Code, FnServant, InvokeError, Outcome, Servant, TransparencyPolicy, World};
 use odp_federation::{AdmissionPolicy, BoundaryLayer, DomainMap, Gateway, ValueMapper};
 use odp_types::signature::{InterfaceTypeBuilder, OutcomeSig};
 use odp_types::{DomainId, InterfaceType, TypeSpec};
@@ -264,6 +264,57 @@ fn proxies_stand_in_for_inner_objects() {
         .interrogate("echo", vec![Value::str("via proxy")])
         .unwrap();
     assert_eq!(out.results[0], Value::str("via proxy"));
+}
+
+#[test]
+fn a_denial_crosses_a_proxy_as_it_crosses_the_gateway() {
+    // The inner object refuses every call, as a security guard would. A
+    // globex client sees `Denied` whether the gateway relays its call to
+    // the object or to a gateway-hosted proxy of it: the proxy must not
+    // flatten the refusal into an application `fail`.
+    let world = World::builder().capsules(3).build();
+    let map = DomainMap::new();
+    map.declare(ACME, "acme");
+    map.declare(GLOBEX, "globex");
+    map.assign(world.capsule(0).node(), ACME);
+    map.assign(world.capsule(1).node(), ACME);
+    map.assign(world.capsule(2).node(), GLOBEX);
+    Gateway::new(
+        Arc::clone(&map),
+        ACME,
+        world.capsule(1),
+        AdmissionPolicy::allow_all(),
+    )
+    .with_proxies()
+    .install();
+    let refusing = Arc::new(FnServant::new(echo_type(), |_op, _args, _ctx| {
+        Outcome::engineering(Code::Denied, vec![Value::str("not you")])
+    }));
+    let inner_ref = world.capsule(0).export(refusing);
+    let dir_ty = InterfaceTypeBuilder::new()
+        .interrogation("get", vec![], vec![OutcomeSig::ok(vec![TypeSpec::Any])])
+        .build();
+    let handed = inner_ref.clone();
+    let dir = Arc::new(FnServant::new(dir_ty, move |_op, _args, _ctx| {
+        Outcome::ok(vec![Value::Interface(handed.clone())])
+    }));
+    let dir_ref = world.capsule(0).export(dir);
+    let policy =
+        TransparencyPolicy::default().with_layer(BoundaryLayer::new(Arc::clone(&map), GLOBEX));
+    let denied = Err(InvokeError::Denied("not you".to_owned()));
+
+    let relayed = world.capsule(2).bind_with(inner_ref, policy.clone());
+    assert_eq!(relayed.interrogate("echo", vec![Value::Int(1)]), denied);
+
+    let out = world
+        .capsule(2)
+        .bind_with(dir_ref, policy.clone())
+        .interrogate("get", vec![])
+        .unwrap();
+    let proxy = out.results[0].as_interface().unwrap().clone();
+    assert_eq!(proxy.home, world.capsule(1).node());
+    let via_proxy = world.capsule(2).bind_with(proxy, policy);
+    assert_eq!(via_proxy.interrogate("echo", vec![Value::Int(1)]), denied);
 }
 
 #[test]

@@ -10,19 +10,16 @@
 //!   down the member list — but never past the caller's end-to-end
 //!   deadline: once the budget is spent the layer stops probing and
 //!   reports the last failure;
-//! * on a `__grp_not_sequencer` redirect (which the access layer delivers
-//!   as [`InvokeError::Unhandled`], outcome intact), follows the indicated
-//!   node;
+//! * on a [`InvokeError::Redirect`] (a member that is not the sequencer
+//!   answered [`odp_core::Code::Redirect`]), follows the indicated node;
 //! * remembers the member that last answered so steady-state traffic pays
 //!   no discovery cost — and, symmetrically, advances past a member that
 //!   just failed, so a silently partitioned sequencer cannot soak up the
 //!   whole deadline budget of every subsequent call.
 
-use crate::member::NOT_SEQUENCER;
 use crate::view::GroupView;
 use odp_core::{CallRequest, ClientLayer, ClientNext, InvokeError, Outcome};
 use odp_net::RexError;
-use odp_wire::Value;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -57,7 +54,7 @@ impl GroupLayer {
 
 impl ClientLayer for GroupLayer {
     fn invoke(&self, req: CallRequest, next: &dyn ClientNext) -> Result<Outcome, InvokeError> {
-        let members = self.view.read().members.clone();
+        let members = Arc::clone(&self.view.read().members);
         if members.is_empty() {
             return Err(InvokeError::Protocol("group has no members".to_owned()));
         }
@@ -76,27 +73,26 @@ impl ClientLayer for GroupLayer {
             let mut attempt_req = req.clone();
             attempt_req.target = member.clone();
             match next.invoke(attempt_req) {
-                Err(InvokeError::Unhandled(outcome)) if outcome.termination == NOT_SEQUENCER => {
+                Err(InvokeError::Redirect(node)) => {
                     // Redirect: prefer the member on the indicated node.
-                    if let Some(Value::Int(node)) = outcome.results.first() {
-                        if let Some(pos) = members.iter().position(|m| m.home.raw() == *node as u64)
-                        {
-                            let mut redirect_req = req.clone();
-                            // odp-lint: allow(l1, reason = "pos comes from position() over the same members slice")
-                            redirect_req.target = members[pos].clone();
-                            // Only a second redirect or a lost sequencer falls through.
-                            match next.invoke(redirect_req) {
-                                Err(InvokeError::Unhandled(o))
-                                    if o.termination == NOT_SEQUENCER => {}
-                                Err(InvokeError::Rex(_) | InvokeError::CircuitOpen) => {}
-                                done => {
-                                    self.preferred.store(pos, Ordering::Relaxed);
-                                    return done;
-                                }
+                    if let Some(pos) = members.iter().position(|m| m.home == node) {
+                        let mut redirect_req = req.clone();
+                        // odp-lint: allow(l1, reason = "pos comes from position() over the same members slice")
+                        redirect_req.target = members[pos].clone();
+                        // Only a second redirect or a lost sequencer falls through.
+                        match next.invoke(redirect_req) {
+                            Err(
+                                InvokeError::Redirect(_)
+                                | InvokeError::Rex(_)
+                                | InvokeError::CircuitOpen,
+                            ) => {}
+                            done => {
+                                self.preferred.store(pos, Ordering::Relaxed);
+                                return done;
                             }
-                            last_err =
-                                Some(InvokeError::Protocol("sequencer redirect loop".to_owned()));
                         }
+                        last_err =
+                            Some(InvokeError::Protocol("sequencer redirect loop".to_owned()));
                     }
                     // Redirect unusable: fall through to the next member.
                     self.failovers.fetch_add(1, Ordering::Relaxed);

@@ -21,7 +21,7 @@
 //!   without central coordination.
 //! * [`client`] — [`GroupLayer`]: the client-side replication transparency
 //!   layer: retargets invocations at the current sequencer, fails over down
-//!   the member list, and follows `__grp_not_sequencer` redirects. Plugged
+//!   the member list, and follows [`odp_core::Code::Redirect`] answers. Plugged
 //!   into a [`odp_core::TransparencyPolicy`] like every other transparency.
 //! * [`replicate`](mod@replicate) — assembly: [`replicate()`](replicate::replicate) builds a
 //!   group over a set of capsules from a replica factory, under a

@@ -17,7 +17,7 @@
 //!   in members of the group and of changes of membership");
 //! * a partitioned-away ex-sequencer that rejoins and tries to reuse
 //!   sequence numbers is fenced: relays below a member's apply point answer
-//!   [`STALE_SEQ`], and the sender then adopts the successor's view and
+//!   [`Code::Fenced`], and the sender then adopts the successor's view and
 //!   redirects its client instead of acknowledging a split-brain write.
 //!
 //! In hot-standby mode relays are announcements; a lost relay would stall
@@ -27,7 +27,7 @@
 
 use crate::replicate::GroupPolicy;
 use crate::view::GroupView;
-use odp_core::{CallCtx, Capsule, Outcome, Servant, TransparencyPolicy};
+use odp_core::{CallCtx, Capsule, Code, InvokeError, Outcome, Servant, TransparencyPolicy};
 use odp_net::CallQos;
 use odp_types::signature::{OperationSig, OutcomeSig};
 use odp_types::{InterfaceId, InterfaceType, TypeSpec};
@@ -54,17 +54,6 @@ pub mod ops {
     /// exactly one kind).
     pub const RELAY_ASYNC: &str = "__grp_relay_async";
 }
-
-/// Termination returned to a client that contacted a non-sequencer while
-/// the sequencer is alive; carries the sequencer's node id.
-pub const NOT_SEQUENCER: &str = "__grp_not_sequencer";
-
-/// Termination returned to a relay whose sequence number is below the
-/// receiver's apply point — the sender is assigning numbers it no longer
-/// owns (it missed a promotion, e.g. while partitioned away). Carries the
-/// receiver's `next_apply` so the stale sequencer can see how far behind
-/// it is.
-pub const STALE_SEQ: &str = "__grp_stale_seq";
 
 /// How long the applier waits for a sequence gap before skipping it.
 pub const GAP_TIMEOUT: Duration = Duration::from_millis(500);
@@ -142,7 +131,7 @@ impl GroupServant {
             view: RwLock::new(GroupView {
                 group: odp_types::GroupId(0),
                 version: 0,
-                members: Vec::new(),
+                members: Vec::new().into(),
             }),
             shared: Arc::clone(&shared),
             applier: Mutex::new(None),
@@ -331,7 +320,7 @@ impl GroupServant {
             Some(p) => {
                 // Probe predecessors; redirect to the first live one.
                 if let Some(alive) = self.first_live_predecessor(&view, p) {
-                    return Outcome::new(NOT_SEQUENCER, vec![Value::Int(alive.raw() as i64)]);
+                    return redirect(alive);
                 }
                 // All predecessors dead: promote.
                 self.promote(&view, p);
@@ -341,7 +330,7 @@ impl GroupServant {
                 // the manager removed us): point the client at the current
                 // sequencer instead of failing the call.
                 return match view.members.first() {
-                    Some(m) => Outcome::new(NOT_SEQUENCER, vec![Value::Int(m.home.raw() as i64)]),
+                    Some(m) => redirect(m.home),
                     None => Outcome::fail("member is not in the group view"),
                 };
             }
@@ -377,7 +366,7 @@ impl GroupServant {
                         // Synchronous: reply only after every reachable
                         // member has accepted the ordered operation.
                         let reply = binding.interrogate(ops::RELAY, relay_args.clone());
-                        if is_stale_seq_signal(&reply) {
+                        if let Err(InvokeError::Fenced(_)) = reply {
                             // The member already applied this sequence
                             // number: a successor promoted while we were
                             // unreachable and owns the sequence now.
@@ -394,10 +383,7 @@ impl GroupServant {
                                 .iter()
                                 .find(|m| Some(m.iface) != my)
                                 .map_or(member.home, |m| m.home);
-                            return Outcome::new(
-                                NOT_SEQUENCER,
-                                vec![Value::Int(target.raw() as i64)],
-                            );
+                            return redirect(target);
                         }
                     }
                     GroupPolicy::HotStandby => {
@@ -432,7 +418,7 @@ impl GroupServant {
     fn promote(&self, view: &GroupView, my_pos: usize) {
         self.promotions.fetch_add(1, Ordering::Relaxed);
         let mut new_view = view.clone();
-        new_view.members.drain(..my_pos);
+        new_view.members = view.members.iter().skip(my_pos).cloned().collect();
         new_view.version += 1;
         self.set_view(new_view.clone());
         // Push the view to our successors (best effort).
@@ -475,7 +461,10 @@ impl GroupServant {
                 // missed a promotion (e.g. it was partitioned away while a
                 // successor took over). Tell it, so it adopts the current
                 // view instead of acking split-brain writes.
-                return Outcome::new(STALE_SEQ, vec![Value::Int(order.next_apply as i64)]);
+                return Outcome::engineering(
+                    Code::Fenced,
+                    vec![Value::Int(order.next_apply as i64)],
+                );
             }
         }
         self.enqueue(seq as u64, op.to_owned(), app_args, ctx.clone(), false);
@@ -563,9 +552,8 @@ impl std::fmt::Debug for GroupServant {
     }
 }
 
-/// Whether a relay reply carries the [`STALE_SEQ`] fence signal: a reserved
-/// termination the core does not model, so it arrives as
-/// `InvokeError::Unhandled` with the outcome intact.
-fn is_stale_seq_signal(reply: &Result<Outcome, odp_core::InvokeError>) -> bool {
-    matches!(reply, Err(odp_core::InvokeError::Unhandled(o)) if o.termination == STALE_SEQ)
+/// The answer to a client that reached a member other than the live
+/// sequencer: send the call to `node` instead.
+fn redirect(node: odp_types::NodeId) -> Outcome {
+    Outcome::engineering(Code::Redirect, vec![Value::Int(node.raw() as i64)])
 }

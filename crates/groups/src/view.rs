@@ -2,9 +2,12 @@
 
 use odp_types::GroupId;
 use odp_wire::{InterfaceRef, Value};
+use std::sync::Arc;
 
 /// A versioned, ordered member list. Order is significant: the first
-/// member is the sequencer; fail-over walks down the list.
+/// member is the sequencer; fail-over walks down the list. The list is
+/// shared: a view changes by replacement, so readers (a client picking a
+/// member per call) take the whole list for the price of one `Arc`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupView {
     /// The group's identity.
@@ -12,7 +15,7 @@ pub struct GroupView {
     /// Monotonically increasing view version; bumped on every change.
     pub version: u64,
     /// Member interfaces in sequencer-preference order.
-    pub members: Vec<InterfaceRef>,
+    pub members: Arc<[InterfaceRef]>,
 }
 
 impl GroupView {
@@ -22,7 +25,7 @@ impl GroupView {
         Self {
             group,
             version: 1,
-            members,
+            members: members.into(),
         }
     }
 
@@ -41,12 +44,10 @@ impl GroupView {
     /// A new view with `member` appended and the version bumped.
     #[must_use]
     pub fn with_member(&self, member: InterfaceRef) -> Self {
-        let mut members = self.members.clone();
-        members.push(member);
         Self {
             group: self.group,
             version: self.version + 1,
-            members,
+            members: self.members.iter().cloned().chain([member]).collect(),
         }
     }
 
@@ -89,7 +90,7 @@ impl GroupView {
             .as_seq()?
             .iter()
             .map(|v| v.as_interface().cloned())
-            .collect::<Option<Vec<_>>>()?;
+            .collect::<Option<Arc<[_]>>>()?;
         Some(Self {
             group,
             version,

@@ -1,7 +1,7 @@
 //! N-version programming tests: independent implementations voted at the
 //! client (§5.3's "defence against programming errors").
 
-use odp_core::{terminations, FnServant, InvokeError, Outcome, Servant, TransparencyPolicy, World};
+use odp_core::{Code, FnServant, InvokeError, Outcome, Servant, TransparencyPolicy, World};
 use odp_groups::VotingLayer;
 use odp_types::signature::{InterfaceTypeBuilder, OutcomeSig};
 use odp_types::{InterfaceType, TypeSpec};
@@ -115,7 +115,7 @@ fn an_engineering_termination_is_a_dissenting_vote() {
         .map(|i| {
             let servant = FnServant::new(ty.clone(), move |_o, _a, _c| {
                 if i == 1 {
-                    Outcome::engineering(terminations::DENIED, vec![Value::str("no")])
+                    Outcome::engineering(Code::Denied, vec![Value::str("no")])
                 } else {
                     Outcome::ok(vec![Value::Int(3)])
                 }
@@ -142,7 +142,7 @@ fn a_quorum_of_engineering_terminations_wins_the_vote() {
                 if i == 0 {
                     Outcome::ok(vec![Value::Int(3)])
                 } else {
-                    Outcome::engineering(terminations::DENIED, vec![Value::str("no")])
+                    Outcome::engineering(Code::Denied, vec![Value::str("no")])
                 }
             });
             world

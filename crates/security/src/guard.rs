@@ -10,7 +10,7 @@
 
 use crate::secret::{SecretStore, Token, AUTH_KEY};
 use odp_core::{
-    terminations, CallCtx, CallRequest, ClientLayer, ClientNext, InvokeError, Outcome, ServerLayer,
+    CallCtx, CallRequest, ClientLayer, ClientNext, Code, InvokeError, Outcome, ServerLayer,
     ServerNext,
 };
 use odp_wire::Value;
@@ -98,7 +98,7 @@ impl Guard {
 
     fn deny(&self, why: &str) -> Outcome {
         self.denied.fetch_add(1, Ordering::Relaxed);
-        Outcome::engineering(terminations::DENIED, vec![Value::str(why)])
+        Outcome::engineering(Code::Denied, vec![Value::str(why)])
     }
 }
 

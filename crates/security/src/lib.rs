@@ -23,7 +23,7 @@
 //!   encapsulation boundary, first in the dispatch chain) verifies the
 //!   token, enforces the declarative [`SecurityPolicy`], and refuses
 //!   replays via per-principal monotonic nonces. Rejections are the
-//!   `__denied` engineering termination.
+//!   [`odp_core::Code::Denied`] engineering termination.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -87,9 +87,7 @@ impl Servant for ActivationStub {
     fn dispatch(&self, op: &str, args: Vec<Value>, ctx: &CallCtx) -> Outcome {
         match self.activate() {
             Ok(servant) => servant.dispatch(op, args, ctx),
-            Err(why) => {
-                Outcome::engineering(odp_core::terminations::PASSIVE, vec![Value::str(why)])
-            }
+            Err(why) => Outcome::engineering(odp_core::Code::Passive, vec![Value::str(why)]),
         }
     }
 

@@ -230,10 +230,7 @@ fn activation_of_missing_state_reports_passive() {
     r.relocator = None;
     let client = world.capsule(1).bind(r);
     let err = client.interrogate("read", vec![]).unwrap_err();
-    assert!(
-        matches!(err, InvokeError::Unhandled(ref o) if o.termination == odp_core::terminations::PASSIVE),
-        "{err:?}"
-    );
+    assert!(matches!(err, InvokeError::Passive(_)), "{err:?}");
 }
 
 #[test]

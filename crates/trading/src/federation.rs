@@ -68,7 +68,7 @@ pub fn import_path(
             ],
         )
         .map_err(|e| TraderError::Forward(e.to_string()))?;
-    match outcome.termination.as_str() {
+    match outcome.termination.to_string().as_str() {
         "ok" => Ok(outcome
             .result()
             .and_then(Value::as_seq)

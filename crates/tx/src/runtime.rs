@@ -10,7 +10,7 @@
 //! (`control_interface_type`).
 
 use crate::locks::{LockError, LockManager, LockMode};
-use odp_core::{terminations, CallCtx, Capsule, Outcome, Servant, ServerLayer, ServerNext};
+use odp_core::{CallCtx, Capsule, Code, Outcome, Servant, ServerLayer, ServerNext};
 use odp_types::signature::{InterfaceTypeBuilder, OutcomeSig};
 use odp_types::{InterfaceId, InterfaceType, TxnId, TypeSpec};
 use odp_wire::{InterfaceRef, Value};
@@ -279,7 +279,7 @@ impl ServerLayer for ConcurrencyControl {
                     // no-op here.
                     self.runtime.conflicts.fetch_add(1, Ordering::Relaxed);
                     self.runtime.abort(txn);
-                    Outcome::engineering(terminations::ABORTED, vec![Value::str(e.to_string())])
+                    Outcome::engineering(Code::Aborted, vec![Value::str(e.to_string())])
                 }
             },
             None => {
@@ -294,7 +294,7 @@ impl ServerLayer for ConcurrencyControl {
                     Err(e) => {
                         self.runtime.conflicts.fetch_add(1, Ordering::Relaxed);
                         self.runtime.abort(txn);
-                        Outcome::engineering(terminations::ABORTED, vec![Value::str(e.to_string())])
+                        Outcome::engineering(Code::Aborted, vec![Value::str(e.to_string())])
                     }
                 }
             }

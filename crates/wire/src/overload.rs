@@ -1,4 +1,4 @@
-//! Overload-plane wire codec: call priority, deadline budget, rejection.
+//! Overload-plane wire codec: call priority and deadline budget.
 //!
 //! §5.1 of the paper requires that "communications quality of service
 //! constraints must be specified (either explicitly or by default)" on
@@ -14,19 +14,15 @@
 //!   nodes, so the budget is *relative*: the receiver anchors it to the
 //!   frame's arrival instant, which makes queueing delay count against it.
 //!
-//! A call the server sheds is answered with the reserved engineering
-//! termination [`REJECTED_TERMINATION`] carrying `[Int(retry_after_µs)]`,
-//! so clients can distinguish *shed* (back off, do not retry) from
-//! *failed* (retry may help). The tag constants live in a `tag` module so
+//! How a shed call is answered is `odp-core`'s business (an engineering
+//! code inside the reply body). The tag constants live in a `tag` module so
 //! the L4 wire-exhaustiveness lint pins every one to an encode site, a
 //! decode arm and a round-trip test.
 
 use crate::encode::EncodeBuf;
-use crate::value::Value;
 use bytes::{Buf, Bytes};
-use std::time::Duration;
 
-/// Overload-plane tag bytes and reserved strings.
+/// Overload-plane tag bytes.
 pub(crate) mod tag {
     /// Priority byte: admitted ahead of everything else (control-plane
     /// traffic: relocation, supervision, probes).
@@ -36,15 +32,7 @@ pub(crate) mod tag {
     /// Priority byte: bulk / best-effort traffic (stream frames,
     /// announcements), first to be shed.
     pub const PRIO_LOW: u8 = 2;
-    /// Reserved engineering termination for a call shed by admission
-    /// control; results carry `[Int(retry_after_µs)]`.
-    pub const REJECTED: &str = "__rejected";
 }
-
-/// The reserved engineering termination string a shed call returns.
-/// `odp-core`'s `terminations::REJECTED` aliases this constant so the
-/// wire format and the dispatch path can never drift apart.
-pub const REJECTED_TERMINATION: &str = tag::REJECTED;
 
 /// Scheduling class of one invocation, carried in the request envelope
 /// next to the deadline budget (one byte on the wire).
@@ -125,26 +113,6 @@ pub fn get_overload(buf: &mut Bytes) -> Option<(CallPriority, u64)> {
     Some((priority, u64::from_be_bytes(micros)))
 }
 
-/// The results vector a rejection outcome carries: `[Int(retry_after_µs)]`.
-#[must_use]
-pub fn rejection_results(retry_after: Duration) -> Vec<Value> {
-    vec![Value::Int(
-        i64::try_from(retry_after.as_micros()).unwrap_or(i64::MAX),
-    )]
-}
-
-/// Parses a rejection outcome from its termination string and results:
-/// `Some(retry_after)` iff `termination` is the rejection tag.
-#[must_use]
-pub fn parse_rejection(termination: &str, results: &[Value]) -> Option<Duration> {
-    match termination {
-        tag::REJECTED => Some(Duration::from_micros(
-            results.first().and_then(Value::as_int).unwrap_or(0).max(0) as u64,
-        )),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,22 +159,6 @@ mod tests {
         let mut unknown = Bytes::from_static(&[9, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(get_overload(&mut unknown), None);
         assert_eq!(unknown.len(), 9);
-    }
-
-    #[test]
-    fn rejection_round_trips_with_its_tag_pinned() {
-        let results = rejection_results(Duration::from_micros(250));
-        assert_eq!(
-            parse_rejection(tag::REJECTED, &results),
-            Some(Duration::from_micros(250))
-        );
-        assert_eq!(parse_rejection("ok", &results), None);
-        assert_eq!(parse_rejection("__moved", &results), None);
-        // A rejection with no results still parses (zero back-off hint).
-        assert_eq!(
-            parse_rejection(REJECTED_TERMINATION, &[]),
-            Some(Duration::ZERO)
-        );
     }
 
     #[test]

@@ -2,12 +2,15 @@
 # Micro-benchmark gate: paired, interleaved A/B runs of the tracked
 # Criterion benches, this working tree against a base revision.
 #
-# The base revision (default HEAD) is checked out in a git worktree under
-# target/bench-ab/base, which builds into its own target dir. Both sides
-# then run the tracked bench targets for 10 pairs, alternating which side
-# goes first, so the drift of a shared machine (±20% run to run on a
-# 2-core box) lands on both sides alike. A baseline frozen in a file
-# cannot carry a 10% gate on such a box; a base measured alongside can.
+# The base revision (default HEAD) is extracted with `git archive` under
+# target/bench-ab/base, which builds into its own target dir (kept while
+# the revision stays the same, so reruns do not rebuild). Both sides then
+# run the tracked bench targets for 10 pairs, alternating which side goes
+# first, so the drift of a shared machine (±20% run to run on a 2-core
+# box) lands on both sides alike, and every pass starts after the same
+# idle cooldown, so neither side inherits the other's heat. A baseline
+# frozen in a file cannot carry a 10% gate on such a box; a base measured
+# alongside can.
 #
 # Every case the targets print as `<label> time: [<value> <unit>]` is
 # gated on its medians over the runs:
@@ -18,7 +21,9 @@
 #   new, gone   only one side printed the case.
 # A regressed case fails the gate unless EXPERIMENTS.md has a line
 # `bench-waiver: <case>`. A target that exits non-zero (the e17 knee
-# asserts) or a `[no samples]` case fails it too. E18 budget: on the
+# asserts) or a `[no samples]` case fails it too, after the run: the
+# other targets and passes still run and the report is still written,
+# so one stalled pass does not discard the others. E18 budget: on the
 # change side, the median over runs of recorder_on / recorder_off must
 # not exceed 1.05.
 #
@@ -31,6 +36,7 @@ cd "$(dirname "$0")/.."
 
 base_rev="$(git rev-parse --verify "${1:-HEAD}^{commit}")"
 pairs=10
+cooldown_s=10
 bench_args=()
 for t in e01_access_ladder e02_marshalling e03_invocation_styles e14_scale \
     e16_telemetry e17_overload e18_observatory; do
@@ -39,15 +45,17 @@ done
 out=target/bench-ab
 base_tree="$out/base"
 samples="$out/samples.tsv"
+failures="$out/failures.txt"
 report="$out/report.txt"
 
-# The worktree is kept between runs so the base rebuilds incrementally.
+# A fresh extraction for a new revision: archived files carry the commit's
+# mtime, which cargo would take for older than a previous base's build.
 mkdir -p "$out"
-git worktree prune
-if [ -d "$base_tree" ]; then
-    git -C "$base_tree" checkout -q --detach "$base_rev"
-else
-    git worktree add -q --detach "$base_tree" "$base_rev"
+if [ "$(cat "$base_tree/.bench-base" 2>/dev/null)" != "$base_rev" ]; then
+    rm -rf "$base_tree"
+    mkdir -p "$base_tree"
+    git archive "$base_rev" | tar -x -C "$base_tree"
+    echo "$base_rev" > "$base_tree/.bench-base"
 fi
 
 echo "== build: base $(git rev-parse --short "$base_rev") and working tree =="
@@ -58,10 +66,10 @@ cargo bench -q --no-run -p odp-bench "${bench_args[@]}"
 run_side() {
     local dir=. log="$out/$1.$2.log"
     [ "$1" = base ] && dir="$base_tree"
-    if ! (cd "$dir" && cargo bench -q -p odp-bench "${bench_args[@]}") > "$log" 2>&1; then
+    sleep "$cooldown_s"
+    if ! (cd "$dir" && cargo bench -q --no-fail-fast -p odp-bench "${bench_args[@]}") > "$log" 2>&1; then
         tail -n 20 "$log"
-        echo "bench: FAIL — a $1 target exited non-zero in run $2 (log: $log)"
-        exit 1
+        echo "bench: FAIL — a $1 target exited non-zero in run $2 (log: $log)" | tee -a "$failures"
     fi
     awk -v side="$1" -v run="$2" '$2 == "time:" {
         unit = $4; sub(/\]$/, "", unit)
@@ -72,13 +80,14 @@ run_side() {
 }
 
 : > "$samples"
+: > "$failures"
 for ((i = 0; i < pairs; i++)); do
     echo "== pair $((i + 1))/$pairs =="
     if ((i % 2 == 0)); then run_side base "$i"; run_side change "$i"
     else run_side change "$i"; run_side base "$i"; fi
 done
 
-sort -t$'\t' -k1,1 -k2,2 -k4,4g "$samples" | awk -F'\t' '
+sort -t$'\t' -k1,1 -k2,2 -k4,4g "$samples" | awk -F'\t' -v pairs="$pairs" '
     FILENAME == "EXPERIMENTS.md" {
         if (split($0, w, "bench-waiver:") > 1) { c = w[2]; gsub(/[` ]/, "", c); waived[c] = 1 }
         next
@@ -118,7 +127,7 @@ sort -t$'\t' -k1,1 -k2,2 -k4,4g "$samples" | awk -F'\t' '
         }
         close("sort")
         n = 0
-        for (r = 0; (r, 0) in e18 && (r, 1) in e18; r++) s[n++] = e18[r, 1] / e18[r, 0]
+        for (r = 0; r < pairs; r++) if ((r, 0) in e18 && (r, 1) in e18) s[n++] = e18[r, 1] / e18[r, 0]
         for (i = 1; i < n; i++) for (j = i; j > 0 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
         if (n == 0) { print "bench: FAIL — e18 recorder rungs missing"; exit 1 }
         ratio = quantile(0.5)
@@ -128,5 +137,9 @@ sort -t$'\t' -k1,1 -k2,2 -k4,4g "$samples" | awk -F'\t' '
         print "bench: pass"
     }' EXPERIMENTS.md - > "$report" && status=0 || status=$?
 grep -E 'REGRESSED|waived|^bench:' "$report" || true
+if [ -s "$failures" ]; then
+    cat "$failures"
+    status=1
+fi
 echo "bench: report in $report (${SECONDS}s)"
 exit "$status"
