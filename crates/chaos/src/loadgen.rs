@@ -209,7 +209,7 @@ fn unit(rng: &mut SplitMix64) -> f64 {
 /// The precomputed arrival schedule: `(intended offset, op index)` pairs,
 /// offsets ascending. Pure function of the config and mix weights.
 #[must_use]
-pub fn arrival_schedule(config: &LoadGenConfig, ops: &[LoadOp]) -> Vec<(Duration, usize)> {
+fn arrival_schedule(config: &LoadGenConfig, ops: &[LoadOp]) -> Vec<(Duration, usize)> {
     assert!(!ops.is_empty(), "load mix must name at least one op");
     assert!(config.rate_per_sec > 0.0, "rate must be positive");
     let total_weight: u64 = ops.iter().map(|o| u64::from(o.weight)).sum();

@@ -109,7 +109,7 @@ pub struct AdmissionLayer {
 /// *burst* and trigger a flight-recorder dump: one-off rejections under
 /// transient pressure are normal E17 behaviour, a solid run of them means
 /// the server is saturated and the lead-up is worth keeping.
-pub const SHED_BURST_TRIGGER: u64 = 32;
+const SHED_BURST_TRIGGER: u64 = 32;
 
 /// Gauge names parallel to [`CallPriority::ALL`].
 const GAUGE_NAMES: [&str; 3] = ["admission.high", "admission.normal", "admission.low"];

@@ -29,7 +29,7 @@ use crate::invocation::{
 };
 use crate::object::{self, CallCtx, Code, Outcome, Servant};
 use crate::transparency::TransparencyPolicy;
-use odp_net::{CallQos, NetError, RexEndpoint, RexRequest, Transport};
+use odp_net::{NetError, RexEndpoint, RexRequest, Transport};
 use odp_types::{ids::InterfaceIdAllocator, InterfaceId, InterfaceType, NodeId};
 use odp_wire::{InterfaceRef, Value};
 use parking_lot::{Mutex, RwLock};
@@ -87,6 +87,7 @@ enum ExportEntry {
 
 /// Counters for experiments.
 #[derive(Debug, Default)]
+// odp-lint: allow(l8, reason = "the type of the public field `Capsule::stats`")
 pub struct CapsuleStats {
     /// Invocations served by the dispatcher (local + remote).
     pub served: AtomicU64,
@@ -545,12 +546,6 @@ impl Capsule {
                 run()
             }
         }
-    }
-
-    /// Default QoS used by bindings that do not override it.
-    #[must_use]
-    pub fn default_qos() -> CallQos {
-        CallQos::default()
     }
 }
 

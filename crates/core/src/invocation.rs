@@ -264,7 +264,7 @@ impl AccessLayer {
     /// Every engineering failure, including an engineering code the
     /// server answered with, which is mapped here and nowhere else: an
     /// `Ok` outcome from here is never an engineering one.
-    pub fn invoke_base(&self, req: CallRequest) -> Result<Outcome, InvokeError> {
+    fn invoke_base(&self, req: CallRequest) -> Result<Outcome, InvokeError> {
         let capsule = self.capsule()?;
         // Deadline propagation: clamp this attempt's QoS to what is left of
         // the caller's end-to-end budget (and fail fast if it is spent).

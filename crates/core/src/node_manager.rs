@@ -26,11 +26,11 @@ use std::fmt;
 use std::sync::{Arc, Weak};
 
 /// A named servant factory registered with the node manager.
-pub type ServantFactory = Box<dyn Fn() -> Arc<dyn Servant> + Send + Sync>;
+type ServantFactory = Box<dyn Fn() -> Arc<dyn Servant> + Send + Sync>;
 
 /// The signature of the node management service.
 #[must_use]
-pub fn node_manager_interface_type() -> InterfaceType {
+fn node_manager_interface_type() -> InterfaceType {
     InterfaceTypeBuilder::new()
         .interrogation("ping", vec![], vec![OutcomeSig::ok(vec![])])
         .interrogation(

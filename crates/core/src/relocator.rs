@@ -24,11 +24,11 @@ pub const RELOCATOR_OP_REGISTER: &str = "register";
 /// Operation name: `lookup(iface) -> ok(node, epoch) | not_found`.
 pub const RELOCATOR_OP_LOOKUP: &str = "lookup";
 /// Operation name: `unregister(iface) -> ok`.
-pub const RELOCATOR_OP_UNREGISTER: &str = "unregister";
+const RELOCATOR_OP_UNREGISTER: &str = "unregister";
 
 /// The signature of the relocation service.
 #[must_use]
-pub fn relocator_interface_type() -> InterfaceType {
+fn relocator_interface_type() -> InterfaceType {
     InterfaceTypeBuilder::new()
         .interrogation(
             RELOCATOR_OP_REGISTER,

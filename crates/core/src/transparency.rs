@@ -102,7 +102,7 @@ impl RetryBudget {
 
     /// Withdraws one retry token. Returns `false` (and withdraws nothing)
     /// if the budget is exhausted.
-    pub fn try_withdraw(&self) -> bool {
+    fn try_withdraw(&self) -> bool {
         self.balance_milli
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| {
                 b.checked_sub(RETRY_COST_MILLI)
@@ -111,7 +111,7 @@ impl RetryBudget {
     }
 
     /// Deposits the per-success trickle, saturating at the cap.
-    pub fn deposit(&self) {
+    fn deposit(&self) {
         // odp-lint: allow(l6, reason = "fetch_update closure always returns Some; the Err arm is unreachable")
         let _ = self
             .balance_milli
@@ -583,9 +583,11 @@ pub struct LocationLayer {
 impl LocationLayer {
     /// Maximum chase length: a chain of moves longer than this is reported
     /// stale rather than followed (defence against tombstone cycles).
-    pub const MAX_CHASE: usize = 8;
+    const MAX_CHASE: usize = 8;
 
-    fn retarget(&self, req: &CallRequest, home: odp_types::NodeId, epoch: u64) -> CallRequest {
+    /// Points `req` at `home`/`epoch` and publishes the move to every
+    /// holder of the binding.
+    fn retarget(&self, req: &mut CallRequest, home: odp_types::NodeId, epoch: u64) {
         odp_telemetry::hub().event(
             "location.retarget",
             home.raw(),
@@ -595,16 +597,14 @@ impl LocationLayer {
                 req.target.iface, req.target.home
             ),
         );
-        let mut updated = req.clone();
-        updated.target.home = home;
-        updated.target.epoch = epoch;
+        req.target.home = home;
+        req.target.epoch = epoch;
         // Publish to every holder of the binding, but never go backwards.
         let mut cell = self.cell.write();
         if cell.epoch <= epoch {
             cell.home = home;
             cell.epoch = epoch;
         }
-        updated
     }
 
     /// Asks the relocation service where the target lives now, inside what
@@ -658,7 +658,7 @@ impl ClientLayer for LocationLayer {
                     ..
                 }) => {
                     // Tombstone: follow the forwarding pointer.
-                    req = self.retarget(&req, node, epoch);
+                    self.retarget(&mut req, node, epoch);
                     // Fresh movement evidence re-arms the one-shot
                     // relocator consultation: the chain may end at a node
                     // that has itself restarted since.
@@ -679,7 +679,7 @@ impl ClientLayer for LocationLayer {
                         Some((node, epoch))
                             if node != req.target.home || epoch > req.target.epoch =>
                         {
-                            req = self.retarget(&req, node, epoch);
+                            self.retarget(&mut req, node, epoch);
                         }
                         _ => return Err(e),
                     }

@@ -16,10 +16,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Node id reserved for the system capsule hosting the relocator.
-pub const SYSTEM_NODE: NodeId = NodeId(1);
+const SYSTEM_NODE: NodeId = NodeId(1);
 
 /// Builder for [`World`].
 #[derive(Debug, Clone)]
+// odp-lint: allow(l8, reason = "returned by the public `World::builder`")
 pub struct WorldBuilder {
     capsules: usize,
     link: LinkConfig,

@@ -32,11 +32,11 @@ use odp_wire::{InterfaceRef, Value};
 use std::sync::{Arc, Weak};
 
 /// The gateway relay operation.
-pub const RELAY_OP: &str = "__fed_relay";
+const RELAY_OP: &str = "__fed_relay";
 
 /// Predicate deciding whether a `(from_domain_name, op)` crossing is
 /// admitted at the gateway.
-pub type AdmissionRule = Arc<dyn Fn(&str, &str) -> bool + Send + Sync>;
+type AdmissionRule = Arc<dyn Fn(&str, &str) -> bool + Send + Sync>;
 
 /// Which foreign domains may invoke which operations.
 pub struct AdmissionPolicy {
@@ -60,7 +60,7 @@ impl AdmissionPolicy {
 
     /// Whether the crossing is admitted.
     #[must_use]
-    pub fn admits(&self, from_domain: &str, op: &str) -> bool {
+    fn admits(&self, from_domain: &str, op: &str) -> bool {
         (self.rule)(from_domain, op)
     }
 }
@@ -73,7 +73,7 @@ impl std::fmt::Debug for AdmissionPolicy {
 
 /// Signature of a gateway.
 #[must_use]
-pub fn gateway_interface_type() -> InterfaceType {
+fn gateway_interface_type() -> InterfaceType {
     InterfaceTypeBuilder::new()
         .interrogation(
             RELAY_OP,

@@ -3,20 +3,24 @@
 //! §5.6: *"it may be that the interceptor has to set up proxy objects in
 //! each domain that stand as representatives of objects on the other side
 //! of the boundary."* A [`ProxyServant`] forwards every operation to its
-//! principal through the gateway capsule's own (boundary-intercepted)
-//! binding, so invocations on the proxy pay exactly the crossing costs the
-//! federation's policies impose.
+//! principal through one binding the gateway capsule makes when the proxy
+//! is created (boundary-intercepted), so invocations on the proxy pay
+//! exactly the crossing costs the federation's policies impose.
 
-use odp_core::{CallCtx, Capsule, InvokeError, Outcome, Servant, TransparencyPolicy};
+use odp_core::{
+    CallCtx, Capsule, ClientBinding, InvokeError, Outcome, Servant, TransparencyPolicy,
+};
 use odp_types::InterfaceType;
 use odp_wire::{InterfaceRef, Value};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// A forwarding servant representing a foreign object.
 pub struct ProxyServant {
     principal: InterfaceRef,
-    capsule: Weak<Capsule>,
-    policy: TransparencyPolicy,
+    /// The host capsule's binding to `principal`. Its layers hold the
+    /// capsule weakly, so the proxy (exported on that capsule) makes no
+    /// reference cycle.
+    binding: ClientBinding,
 }
 
 impl ProxyServant {
@@ -28,11 +32,8 @@ impl ProxyServant {
         capsule: &Arc<Capsule>,
         policy: TransparencyPolicy,
     ) -> Self {
-        Self {
-            principal,
-            capsule: Arc::downgrade(capsule),
-            policy,
-        }
+        let binding = capsule.bind_with(principal.clone(), policy);
+        Self { principal, binding }
     }
 
     /// The reference this proxy forwards to.
@@ -48,14 +49,13 @@ impl Servant for ProxyServant {
     }
 
     fn dispatch(&self, op: &str, args: Vec<Value>, ctx: &CallCtx) -> Outcome {
-        let Some(capsule) = self.capsule.upgrade() else {
-            return Outcome::fail("proxy host has shut down");
-        };
-        let binding = capsule.bind_with(self.principal.clone(), self.policy.clone());
         let forwarded = if ctx.announcement {
-            binding.announce(op, args).map(|()| Outcome::ok(vec![]))
+            self.binding
+                .announce(op, args)
+                .map(|()| Outcome::ok(vec![]))
         } else {
-            binding.interrogate_annotated(op, args, ctx.annotations.clone())
+            self.binding
+                .interrogate_annotated(op, args, ctx.annotations.clone())
         };
         forwarded.unwrap_or_else(InvokeError::across_boundary)
     }

@@ -52,18 +52,6 @@ impl LeaseTable {
         out
     }
 
-    /// Live holders of one interface.
-    #[must_use]
-    pub fn holders_of(&self, iface: InterfaceId) -> Vec<NodeId> {
-        let now = Instant::now();
-        self.leases
-            .lock()
-            .iter()
-            .filter(|((i, _), expiry)| *i == iface && **expiry > now)
-            .map(|((_, holder), _)| *holder)
-            .collect()
-    }
-
     /// Total live leases.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -98,7 +86,13 @@ mod tests {
         t.renew(InterfaceId(1), NodeId(11));
         t.renew(InterfaceId(2), NodeId(10));
         assert_eq!(t.live_interfaces(), vec![InterfaceId(1), InterfaceId(2)]);
-        assert_eq!(t.holders_of(InterfaceId(1)).len(), 2);
+        let holders = t
+            .leases
+            .lock()
+            .keys()
+            .filter(|(i, _)| *i == InterfaceId(1))
+            .count();
+        assert_eq!(holders, 2);
         t.release(InterfaceId(2), NodeId(10));
         assert_eq!(t.live_interfaces(), vec![InterfaceId(1)]);
         std::thread::sleep(Duration::from_millis(80));

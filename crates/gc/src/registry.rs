@@ -60,6 +60,7 @@ impl RefRegistry {
     }
 
     /// Records the references held inside `value` as edges out of `from`.
+    // odp-lint: allow(l8, reason = "DESIGN §1: the registry's payload scan for local reference edges (paper §7.3)")
     pub fn record_refs_in(&self, from: InterfaceId, value: &Value) {
         let mut refs = Vec::new();
         value.collect_refs(&mut refs);

@@ -44,12 +44,6 @@ impl GroupLayer {
             failovers: AtomicUsize::new(0),
         }
     }
-
-    /// The member index currently preferred.
-    #[must_use]
-    pub fn preferred(&self) -> usize {
-        self.preferred.load(Ordering::Relaxed)
-    }
 }
 
 impl ClientLayer for GroupLayer {

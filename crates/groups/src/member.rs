@@ -21,7 +21,7 @@
 //!   redirects its client instead of acknowledging a split-brain write.
 //!
 //! In hot-standby mode relays are announcements; a lost relay would stall
-//! the hold-back queue forever, so gaps older than [`GAP_TIMEOUT`] are
+//! the hold-back queue forever, so gaps older than `GAP_TIMEOUT` are
 //! skipped and counted — the availability-versus-completeness trade-off the
 //! paper assigns to standby schemes, made measurable.
 
@@ -42,24 +42,24 @@ use std::time::Duration;
 pub mod ops {
     /// `__grp_relay(seq, op, payload) -> ok` — ordered delivery from the
     /// sequencer.
-    pub const RELAY: &str = "__grp_relay";
+    pub(super) const RELAY: &str = "__grp_relay";
     /// `__grp_view(encoded_view) -> ok` — view installation.
-    pub const VIEW: &str = "__grp_view";
+    pub(super) const VIEW: &str = "__grp_view";
     /// `__grp_get_view() -> ok(encoded_view)`.
-    pub const GET_VIEW: &str = "__grp_get_view";
+    pub(super) const GET_VIEW: &str = "__grp_get_view";
     /// `__grp_ping() -> ok` — liveness probe used before promotion.
     pub const PING: &str = "__grp_ping";
     /// `__grp_relay_async(seq, op, payload)` — the announcement twin of
     /// [`RELAY`] used in hot-standby mode (an operation must be declared as
     /// exactly one kind).
-    pub const RELAY_ASYNC: &str = "__grp_relay_async";
+    pub(super) const RELAY_ASYNC: &str = "__grp_relay_async";
 }
 
 /// How long the applier waits for a sequence gap before skipping it.
-pub const GAP_TIMEOUT: Duration = Duration::from_millis(500);
+const GAP_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// QoS used for predecessor liveness probes.
-pub const PROBE_QOS: CallQos = CallQos {
+const PROBE_QOS: CallQos = CallQos {
     deadline: Duration::from_millis(200),
     retry_interval: Duration::from_millis(50),
     // Probes are control-plane traffic: they must get through ahead of the
@@ -198,7 +198,7 @@ impl GroupServant {
         self.shared.state.lock().next_apply
     }
 
-    /// Sequence gaps skipped after [`GAP_TIMEOUT`] (standby data loss).
+    /// Sequence gaps skipped after `GAP_TIMEOUT` (standby data loss).
     #[must_use]
     pub fn gaps_skipped(&self) -> u64 {
         self.shared.gaps_skipped.load(Ordering::Relaxed)

@@ -5,7 +5,7 @@
 //! channel/capsule discipline; PR 1/2/5 enforced that by hand-auditing.
 //! This crate turns the audit into tooling: a dependency-free Rust lexer
 //! ([`lexer`]), a per-file source model with test-region and
-//! allow-directive tracking ([`model`]), seven ODP rules ([`rules`]), and
+//! allow-directive tracking ([`model`]), eight ODP rules ([`rules`]), and
 //! a monotone violation ratchet ([`ratchet`]) wired into CI.
 //!
 //! Rule summary (full specs in DESIGN.md §8):
@@ -19,11 +19,12 @@
 //! | L5 | layer entry points create or inherit a telemetry span |
 //! | L6 | no discarded `Result` (`let _ =`) in `core`/`net` |
 //! | L7 | no unbounded channel constructors on hot paths |
+//! | L8 | every `pub` item in `src/` is named by some other workspace file |
 //!
 //! Escape hatch: `// odp-lint: allow(<rule>, reason = "...")` on the
 //! violating line or the line above, or `allow-file(<rule>, ...)` for the
-//! whole file. The reason is mandatory by convention — an allow without
-//! one should not survive review.
+//! whole file. The reason is mandatory: a directive without one is
+//! malformed and allows nothing.
 
 pub mod lexer;
 pub mod model;

@@ -16,7 +16,7 @@ pub enum Area {
 
 /// One scope granted by an allow directive.
 #[derive(Debug, Clone)]
-pub struct Allow {
+struct Allow {
     /// Lowercased rule id, e.g. `"l1"`.
     pub rule: String,
     /// The justification string (required; empty means malformed).
@@ -39,7 +39,7 @@ pub struct SourceFile {
     /// Inclusive line spans that are test code (`#[cfg(test)]` mods,
     /// `#[test]` fns). Empty for `Area::Test` files (the whole file is).
     pub test_spans: Vec<(u32, u32)>,
-    pub allows: Vec<Allow>,
+    allows: Vec<Allow>,
 }
 
 impl SourceFile {
@@ -74,12 +74,27 @@ impl SourceFile {
     }
 
     /// Whether `rule` is allowed at `line`: a file-scope directive, a
-    /// directive on the same line, or one on the line directly above.
+    /// directive on the same line, or one on the line directly above. A
+    /// directive without a reason is malformed and allows nothing.
     #[must_use]
     pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
-        self.allows
-            .iter()
-            .any(|a| a.rule == rule && (a.file_scope || a.line == line || a.line + 1 == line))
+        self.allows.iter().any(|a| {
+            a.rule == rule
+                && !a.reason.trim().is_empty()
+                && (a.file_scope || a.line == line || a.line + 1 == line)
+        })
+    }
+
+    /// Non-blank lines outside test regions: the file's production size
+    /// (0 for a test-area file).
+    #[must_use]
+    pub fn code_lines(&self) -> u64 {
+        let mut lines = std::collections::BTreeSet::new();
+        for t in self.tokens.iter().filter(|t| t.kind != TokKind::Whitespace) {
+            let last = t.line + t.text.matches('\n').count() as u32;
+            lines.extend(t.line..=last);
+        }
+        lines.into_iter().filter(|&l| !self.is_test_line(l)).count() as u64
     }
 
     /// Code tokens only (comments and whitespace stripped), for rules that
@@ -209,12 +224,16 @@ fn find_allows(tokens: &[Token]) -> Vec<Allow> {
 #[derive(Debug)]
 pub struct Workspace {
     pub files: Vec<SourceFile>,
+    /// The root `tests/` and `examples/` and `benchmark/src`: read by L8
+    /// as use sites only, so no other rule sees them.
+    pub use_sites: Vec<SourceFile>,
 }
 
 impl Workspace {
     /// Walks `root/crates/*/{src,tests,benches,examples}` and lexes every
-    /// `.rs` file. `stubs/` (offline dependency stand-ins) is deliberately
-    /// out of scope: it models foreign crates, not ODP engineering objects.
+    /// `.rs` file, then the use-site directories. `stubs/` (offline
+    /// dependency stand-ins) is deliberately out of scope: it models
+    /// foreign crates, not ODP engineering objects.
     ///
     /// # Errors
     ///
@@ -239,24 +258,39 @@ impl Workspace {
                 ("benches", Area::Test),
                 ("examples", Area::Test),
             ] {
-                let dir = crate_dir.join(sub);
-                if dir.is_dir() {
-                    walk_rs(&dir, &mut |path| {
-                        let src = std::fs::read_to_string(path)?;
-                        let rel = path
-                            .strip_prefix(root)
-                            .unwrap_or(path)
-                            .to_string_lossy()
-                            .replace('\\', "/");
-                        files.push(SourceFile::parse(&rel, &crate_name, area, &src));
-                        Ok(())
-                    })?;
-                }
+                load_dir(root, &crate_dir.join(sub), &crate_name, area, &mut files)?;
             }
         }
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        Ok(Workspace { files })
+        let mut use_sites = Vec::new();
+        for dir in ["tests", "examples", "benchmark/src"] {
+            load_dir(root, &root.join(dir), "", Area::Test, &mut use_sites)?;
+        }
+        Ok(Workspace { files, use_sites })
     }
+}
+
+/// Lexes every `.rs` file under `dir` (if it exists) into `files`.
+fn load_dir(
+    root: &Path,
+    dir: &Path,
+    crate_name: &str,
+    area: Area,
+    files: &mut Vec<SourceFile>,
+) -> std::io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
+    walk_rs(dir, &mut |path| {
+        let src = std::fs::read_to_string(path)?;
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        files.push(SourceFile::parse(&rel, crate_name, area, &src));
+        Ok(())
+    })
 }
 
 fn walk_rs(dir: &Path, f: &mut dyn FnMut(&Path) -> std::io::Result<()>) -> std::io::Result<()> {
@@ -312,6 +346,19 @@ fn a() {
         assert!(f.is_allowed("l6", 5));
         assert!(!f.is_allowed("l1", 5));
         assert_eq!(f.allows[0].reason, "whole file");
+    }
+
+    #[test]
+    fn code_lines_skip_blank_and_test_lines() {
+        let src = "/* two\nlines */\nfn a() {}\n\n#[cfg(test)]\nmod tests {\n  fn b() {}\n}\n";
+        assert_eq!(
+            SourceFile::parse("x.rs", "core", Area::Src, src).code_lines(),
+            3
+        );
+        assert_eq!(
+            SourceFile::parse("x.rs", "core", Area::Test, src).code_lines(),
+            0
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 use crate::rules::{counts, Report};
 
 /// Renders violations for terminals: `path:line: RULE: message` plus an
-/// indented fix-it hint, then a per-`rule/crate` summary table.
+/// indented fix-it hint, then a per-`rule/crate` summary table, the lock
+/// graph's size and a table of non-test lines per crate.
 #[must_use]
 pub fn human(report: &Report) -> String {
     let mut s = String::new();
@@ -29,6 +30,12 @@ pub fn human(report: &Report) -> String {
         g.edges.len(),
         g.cycles.len()
     ));
+    s.push_str("non-test lines by crate (src/, blank lines excluded):\n");
+    for (krate, n) in &report.lines {
+        s.push_str(&format!("  {krate:<24} {n}\n"));
+    }
+    let total: u64 = report.lines.values().sum();
+    s.push_str(&format!("  {:<24} {total}\n", "total"));
     s
 }
 
@@ -115,6 +122,7 @@ mod tests {
                 hint: "hint".to_owned(),
             }],
             lock_graph: LockGraph::default(),
+            lines: [("core".to_owned(), 120)].into(),
         }
     }
 
@@ -123,6 +131,8 @@ mod tests {
         let text = human(&sample());
         assert!(text.contains("crates/core/src/a.rs:3: L1:"));
         assert!(text.contains("L1/core"));
+        assert!(text.contains("  core                     120\n"), "{text}");
+        assert!(text.contains("  total                    120\n"), "{text}");
     }
 
     #[test]

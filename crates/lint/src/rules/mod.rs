@@ -1,4 +1,4 @@
-//! The ODP rule engine: seven rules over the lexed source model.
+//! The ODP rule engine: eight rules over the lexed source model.
 //!
 //! Each rule encodes one engineering-model invariant (DESIGN.md §8 has the
 //! full specifications). Rules emit [`Violation`]s; the engine filters them
@@ -14,6 +14,7 @@ pub mod l4;
 pub mod l5;
 pub mod l6;
 pub mod l7;
+pub mod l8;
 
 /// One diagnostic: rule id, site, message, and a fix-it hint.
 #[derive(Debug, Clone)]
@@ -47,6 +48,8 @@ pub struct LockGraph {
 pub struct Report {
     pub violations: Vec<Violation>,
     pub lock_graph: LockGraph,
+    /// Per crate: non-blank `src/` lines outside test regions.
+    pub lines: std::collections::BTreeMap<String, u64>,
 }
 
 /// Runs every rule over the workspace and applies allow directives.
@@ -60,6 +63,7 @@ pub fn run_all(ws: &Workspace) -> Report {
     l5::check(ws, &mut violations);
     l6::check(ws, &mut violations);
     l7::check(ws, &mut violations);
+    l8::check(ws, &mut violations);
 
     violations.retain(|v| {
         let rule = v.rule.to_ascii_lowercase();
@@ -69,9 +73,14 @@ pub fn run_all(ws: &Workspace) -> Report {
             .is_some_and(|f| f.is_allowed(&rule, v.line))
     });
     violations.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
+    let mut lines = std::collections::BTreeMap::new();
+    for f in &ws.files {
+        *lines.entry(f.crate_name.clone()).or_insert(0) += f.code_lines();
+    }
     Report {
         violations,
         lock_graph,
+        lines,
     }
 }
 

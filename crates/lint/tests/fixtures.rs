@@ -9,8 +9,9 @@
 use odp_lint::model::{Area, SourceFile, Workspace};
 use odp_lint::rules::{self, Report};
 
-/// Loads one fixture file as a synthetic workspace member.
-fn fixture(rule: &str, name: &str) -> SourceFile {
+/// Loads one fixture file as a synthetic workspace member: a file in its
+/// crate's `src/`, or with `use_site` a file under `benchmark/src`.
+fn fixture(rule: &str, name: &str, use_site: bool) -> SourceFile {
     let path = format!(
         "{}/tests/fixtures/{rule}/{name}.rs",
         env!("CARGO_MANIFEST_DIR")
@@ -23,6 +24,10 @@ fn fixture(rule: &str, name: &str) -> SourceFile {
         .map(str::trim)
         .unwrap_or_else(|| panic!("{path}: missing `//@ crate:` header"))
         .to_owned();
+    if use_site {
+        let rel = format!("benchmark/src/{rule}_{name}.rs");
+        return SourceFile::parse(&rel, &crate_name, Area::Test, &src);
+    }
     let rel = format!("crates/{crate_name}/src/{rule}_{name}.rs");
     SourceFile::parse(&rel, &crate_name, Area::Src, &src)
 }
@@ -31,8 +36,15 @@ fn fixture(rule: &str, name: &str) -> SourceFile {
 /// violations — fixtures may trip other rules incidentally (an unwrap in
 /// an L2 fixture), and that noise must not couple the corpora.
 fn run(rule: &str, names: &[&str]) -> Report {
-    let files = names.iter().map(|n| fixture(rule, n)).collect();
-    let mut report = rules::run_all(&Workspace { files });
+    run_with_use_sites(rule, names, &[])
+}
+
+/// As [`run`], with `use_sites` loaded the way the root `tests/`,
+/// `examples/` and `benchmark/src` are: read by L8, linted by nothing.
+fn run_with_use_sites(rule: &str, names: &[&str], use_sites: &[&str]) -> Report {
+    let files = names.iter().map(|n| fixture(rule, n, false)).collect();
+    let use_sites = use_sites.iter().map(|n| fixture(rule, n, true)).collect();
+    let mut report = rules::run_all(&Workspace { files, use_sites });
     let upper = rule.to_ascii_uppercase();
     report.violations.retain(|v| v.rule == upper);
     report
@@ -204,6 +216,11 @@ fn l6_allow_suppresses() {
     assert_eq!(count("l6", "allowed"), 0);
 }
 
+#[test]
+fn allow_without_reason_suppresses_nothing() {
+    assert_eq!(count("l6", "no_reason"), 2);
+}
+
 // ---- L7: no unbounded channels on hot paths ------------------------------
 
 #[test]
@@ -219,4 +236,38 @@ fn l7_negative_bounded_is_silent() {
 #[test]
 fn l7_allow_suppresses() {
     assert_eq!(count("l7", "allowed"), 0);
+}
+
+// ---- L8: every pub item is named by another file --------------------------
+
+#[test]
+fn l8_positive_flags_items_no_other_file_names() {
+    let report = run("l8", &["positive"]);
+    let msgs: Vec<&str> = report
+        .violations
+        .iter()
+        .map(|v| v.message.as_str())
+        .collect();
+    assert_eq!(
+        msgs,
+        [
+            "`pub fn l8_lonely_helper` is named by no other file",
+            "`pub const L8_LONELY_LIMIT` is named by no other file",
+            "`pub struct L8LonelyRecord` is named by no other file",
+        ]
+    );
+}
+
+#[test]
+fn l8_negative_use_site_name_keeps_pub() {
+    let report = run_with_use_sites("l8", &["negative"], &["use_site"]);
+    assert!(report.violations.is_empty(), "{:#?}", report.violations);
+    // Without the use site, the struct and its method are file-local.
+    assert_eq!(count("l8", "negative"), 2);
+}
+
+#[test]
+fn l8_allow_keeps_a_type_named_by_a_public_signature() {
+    let report = run_with_use_sites("l8", &["allowed"], &["use_site"]);
+    assert!(report.violations.is_empty(), "{:#?}", report.violations);
 }

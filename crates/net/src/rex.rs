@@ -159,7 +159,7 @@ pub struct RexRequest {
 /// Server-side request handler: returns the marshalled reply body in a
 /// pooled buffer (the REX worker frames it, sends it, and keeps the body
 /// in the call's record; eviction recycles the buffer).
-pub type Handler = Arc<dyn Fn(RexRequest) -> PooledBuf + Send + Sync>;
+type Handler = Arc<dyn Fn(RexRequest) -> PooledBuf + Send + Sync>;
 
 const KIND_REQUEST: u8 = 0;
 const KIND_REPLY: u8 = 1;
@@ -262,7 +262,7 @@ pub const JOB_QUEUE_CAP: usize = 1024;
 
 /// Work an endpoint's own node queues on its workers (a co-located
 /// announcement), as opposed to a request that arrived as a frame.
-pub type LocalJob = Box<dyn FnOnce() + Send>;
+type LocalJob = Box<dyn FnOnce() + Send>;
 
 /// How long an idle `rex-worker` keeps polling its job queue, yielding the
 /// CPU between polls, before it parks. The job channel signals only a

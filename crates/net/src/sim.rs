@@ -317,7 +317,7 @@ impl SimNet {
 
     /// Removes the per-link overrides for both directions of `a ↔ b`, so
     /// the pair reverts to the default link.
-    pub fn clear_link(&self, a: odp_types::NodeId, b: odp_types::NodeId) {
+    fn clear_link(&self, a: odp_types::NodeId, b: odp_types::NodeId) {
         let mut inner = self.inner.lock();
         inner.fault_log.push(NetFault::ClearLink(a, b));
         inner.links.remove(&(a, b));
@@ -326,7 +326,7 @@ impl SimNet {
 
     /// Replaces the default characteristics of every link without a
     /// per-link override (whole-network loss bursts and latency spikes).
-    pub fn set_default_link(&self, link: LinkConfig) {
+    fn set_default_link(&self, link: LinkConfig) {
         let mut inner = self.inner.lock();
         inner.fault_log.push(NetFault::SetDefaultLink(link));
         inner.default_link = link;

@@ -40,11 +40,11 @@ use std::time::Duration;
 
 /// Maximum accepted frame size (16 MiB): a hostile peer must not be able to
 /// make a capsule allocate unboundedly.
-pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Frames a connection's writer queue holds before `send_frame` blocks on it
 /// (bounded queue = backpressure instead of unbounded memory).
-pub const WRITER_QUEUE_DEPTH: usize = 256;
+const WRITER_QUEUE_DEPTH: usize = 256;
 
 /// Upper bound on frames coalesced into a single write+flush.
 const MAX_WRITE_BATCH: usize = 32;
@@ -137,12 +137,6 @@ impl TcpNetwork {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The socket address a node is listening on, if registered.
-    #[must_use]
-    pub fn addr_of(&self, node: NodeId) -> Option<SocketAddr> {
-        self.directory.lock().get(&node).map(|s| s.addr)
     }
 
     fn connect(&self, from: NodeId, to: NodeId) -> Result<ConnHandle, NetError> {
@@ -530,7 +524,7 @@ mod tests {
         // the connection, not allocate.
         let net = TcpNetwork::new();
         let b = inbox(&net, NodeId(2)).unwrap();
-        let addr = net.addr_of(NodeId(2)).unwrap();
+        let addr = net.directory.lock()[&NodeId(2)].addr;
         let mut s = TcpStream::connect(addr).unwrap();
         let mut header = [0u8; 12];
         header[..4].copy_from_slice(&(MAX_FRAME + 1).to_be_bytes());

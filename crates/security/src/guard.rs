@@ -54,7 +54,7 @@ impl SecurityPolicy {
 
     /// Whether the policy permits the invocation.
     #[must_use]
-    pub fn permits(&self, principal: &str, op: &str) -> bool {
+    fn permits(&self, principal: &str, op: &str) -> bool {
         match self.rules.get(principal) {
             Some(ops) => ops.is_empty() || ops.iter().any(|o| o == op),
             None => false,

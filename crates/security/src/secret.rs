@@ -131,13 +131,13 @@ impl SecretStore {
     }
 
     /// Records the secret shared with `peer`.
-    pub fn share_with<S: Into<String>>(&self, peer: S, secret: Secret) {
+    fn share_with<S: Into<String>>(&self, peer: S, secret: Secret) {
         self.secrets.lock().insert(peer.into(), secret);
     }
 
     /// The secret shared with `peer`, if any.
     #[must_use]
-    pub fn secret_for(&self, peer: &str) -> Option<Secret> {
+    fn secret_for(&self, peer: &str) -> Option<Secret> {
         self.secrets.lock().get(peer).copied()
     }
 

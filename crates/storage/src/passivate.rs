@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Factory reconstructing an empty replica for activation.
-pub type Factory = Arc<dyn Fn() -> Arc<dyn Servant> + Send + Sync>;
+type Factory = Arc<dyn Fn() -> Arc<dyn Servant> + Send + Sync>;
 
 /// A stand-in servant that activates the real object on first use.
 pub struct ActivationStub {

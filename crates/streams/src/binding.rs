@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 /// A synthetic or application frame source: returns the payload for frame
 /// `seq`, or `None` when the flow is exhausted.
-pub type FrameSource = Arc<dyn Fn(u64) -> Option<Bytes> + Send + Sync>;
+type FrameSource = Arc<dyn Fn(u64) -> Option<Bytes> + Send + Sync>;
 
 /// One flow in a binding template.
 pub struct TemplateFlow {
@@ -172,7 +172,7 @@ impl StreamBinding {
     }
 
     /// Pauses all flows.
-    pub fn pause(&self) {
+    fn pause(&self) {
         self.running.store(false, Ordering::SeqCst);
     }
 

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Offset separating stream transport identities from capsule identities.
-pub const STREAM_NODE_OFFSET: u64 = 1 << 40;
+const STREAM_NODE_OFFSET: u64 = 1 << 40;
 
 /// The transport identity of `node`'s stream endpoint.
 #[must_use]

@@ -25,14 +25,6 @@ impl Default for FlowQos {
     }
 }
 
-impl FlowQos {
-    /// The pacing interval implied by the target rate.
-    #[must_use]
-    pub fn frame_interval(&self) -> Duration {
-        Duration::from_secs(1) / self.rate_fps.max(1)
-    }
-}
-
 /// One typed flow within a stream interface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowSpec {
@@ -62,25 +54,5 @@ impl FlowSpec {
             frame_bytes,
             qos,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn frame_interval_from_rate() {
-        let qos = FlowQos {
-            rate_fps: 50,
-            ..FlowQos::default()
-        };
-        assert_eq!(qos.frame_interval(), Duration::from_millis(20));
-        let zero = FlowQos {
-            rate_fps: 0,
-            ..FlowQos::default()
-        };
-        // Clamped to avoid division by zero.
-        assert_eq!(zero.frame_interval(), Duration::from_secs(1));
     }
 }

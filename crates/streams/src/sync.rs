@@ -75,7 +75,7 @@ impl SyncBuffer {
 
     /// Frames currently buffered across all flows.
     #[must_use]
-    pub fn buffered(&self) -> usize {
+    fn buffered(&self) -> usize {
         self.queues.lock().iter().map(VecDeque::len).sum()
     }
 

@@ -19,7 +19,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// The parent segment.
-pub const PARENT: &str = "..";
+const PARENT: &str = "..";
 
 /// A context-relative name: a path of trader link names.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
@@ -29,6 +29,7 @@ pub struct ContextName {
 
 /// Errors from name parsing and manipulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// odp-lint: allow(l8, reason = "the error type of the public `ContextName::new`")
 pub enum NameError {
     /// A segment was empty or contained `/`.
     BadSegment(String),
@@ -71,31 +72,10 @@ impl ContextName {
         Ok(Self { segments })
     }
 
-    /// The path segments.
-    #[must_use]
-    pub fn segments(&self) -> &[String] {
-        &self.segments
-    }
-
     /// True for the empty ("here") name.
     #[must_use]
     pub fn is_here(&self) -> bool {
         self.segments.is_empty()
-    }
-
-    /// Appends a segment.
-    ///
-    /// # Errors
-    ///
-    /// [`NameError::BadSegment`] for invalid segments.
-    pub fn child<S: Into<String>>(&self, segment: S) -> Result<Self, NameError> {
-        let segment = segment.into();
-        if segment.is_empty() || segment.contains('/') {
-            return Err(NameError::BadSegment(segment));
-        }
-        let mut segments = self.segments.clone();
-        segments.push(segment);
-        Ok(Self { segments })
     }
 
     /// Joins `other` onto this name and canonicalizes.
@@ -244,8 +224,8 @@ mod tests {
 
     #[test]
     fn child_validates() {
-        assert!(ContextName::here().child("ok").is_ok());
-        assert!(ContextName::here().child("not/ok").is_err());
-        assert!(ContextName::here().child("").is_err());
+        assert!(ContextName::new(["ok"]).is_ok());
+        assert!(ContextName::new(["not/ok"]).is_err());
+        assert!(ContextName::new([""]).is_err());
     }
 }

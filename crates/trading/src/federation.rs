@@ -19,7 +19,7 @@ use odp_types::InterfaceType;
 use odp_wire::{InterfaceRef, Value};
 
 /// Default federation hop budget.
-pub const DEFAULT_HOPS: u32 = 16;
+const DEFAULT_HOPS: u32 = 16;
 
 /// Imports through a context-relative path: empty path ⇒ local import,
 /// otherwise follow the first link and recurse remotely.

@@ -30,7 +30,7 @@ pub struct ServiceOffer {
 impl ServiceOffer {
     /// Property accessor.
     #[must_use]
-    pub fn property(&self, name: &str) -> Option<&Value> {
+    fn property(&self, name: &str) -> Option<&Value> {
         self.properties.get(name)
     }
 }

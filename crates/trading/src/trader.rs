@@ -19,7 +19,7 @@
 //!   selected" ([`ResourceLink`]).
 //!
 //! The trader is exported as an ordinary ODP object; its ADT interface is
-//! given by [`trader_interface_type`]. Interface *types* travel inside
+//! given by `trader_interface_type`. Interface *types* travel inside
 //! template references (a reference with a null identity whose signature is
 //! the required type) — self-description again.
 
@@ -71,7 +71,7 @@ pub trait ResourceLink: Send + Sync {
 
 /// The ADT signature of a trader.
 #[must_use]
-pub fn trader_interface_type() -> InterfaceType {
+fn trader_interface_type() -> InterfaceType {
     InterfaceTypeBuilder::new()
         .interrogation(
             "export_offer",
@@ -174,12 +174,14 @@ impl Trader {
     }
 
     /// Installs the resource-manager hook.
+    // odp-lint: allow(l8, reason = "DESIGN §1: the only way to install the trader's `ResourceLink` (paper §6)")
     pub fn set_resource_link(&self, link: Arc<dyn ResourceLink>) {
         *self.resource_link.lock() = Some(link);
     }
 
-    /// Access to the trader's type manager for installing constraints and
-    /// compatibility axioms.
+    /// Access to the trader's type manager for installing match
+    /// constraints.
+    // odp-lint: allow(l8, reason = "DESIGN §1: the only way to install type-manager match constraints on a trader (paper §6)")
     pub fn with_type_manager<R>(&self, f: impl FnOnce(&mut TypeManager) -> R) -> R {
         f(&mut self.type_manager.lock())
     }
@@ -213,7 +215,7 @@ impl Trader {
     /// # Errors
     ///
     /// [`TraderError::NotFound`] if the id is unknown.
-    pub fn withdraw(&self, id: OfferId) -> Result<(), TraderError> {
+    fn withdraw(&self, id: OfferId) -> Result<(), TraderError> {
         let offer = self
             .offers
             .write()

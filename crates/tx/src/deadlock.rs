@@ -75,12 +75,6 @@ impl DeadlockDetector {
         }
         false
     }
-
-    /// Number of transactions currently waiting.
-    #[must_use]
-    pub fn waiting(&self) -> usize {
-        self.edges.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +122,7 @@ mod tests {
         d.remove(TxnId(1));
         // 2 may now wait for 3 and 3's old edge to 1 is gone.
         assert!(d.try_wait(TxnId(2), &[TxnId(3)]));
-        assert_eq!(d.waiting(), 2);
+        assert_eq!(d.edges.lock().len(), 2);
     }
 
     #[test]

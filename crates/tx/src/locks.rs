@@ -125,12 +125,6 @@ impl LockManager {
         }
     }
 
-    /// The deadlock detector (shared with diagnostics).
-    #[must_use]
-    pub fn detector(&self) -> &DeadlockDetector {
-        &self.detector
-    }
-
     /// Acquires `key` in `mode` for `txn`, blocking if necessary.
     ///
     /// # Errors
@@ -180,7 +174,7 @@ impl LockManager {
 
     /// Number of keys with at least one holder.
     #[must_use]
-    pub fn locked_keys(&self) -> usize {
+    fn locked_keys(&self) -> usize {
         self.table.lock().len()
     }
 }

@@ -54,11 +54,11 @@ impl Access {
 }
 
 /// Classifier mapping `(operation, args)` to the [`Access`] it needs.
-pub type ClassifyFn = Arc<dyn Fn(&str, &[Value]) -> Access + Send + Sync>;
+type ClassifyFn = Arc<dyn Fn(&str, &[Value]) -> Access + Send + Sync>;
 
 /// Predicate over the sequence of operations one transaction performed on
 /// an interface; `false` at prepare time vetoes the commit.
-pub type OrderingPredicate = Arc<dyn Fn(&[String]) -> bool + Send + Sync>;
+type OrderingPredicate = Arc<dyn Fn(&[String]) -> bool + Send + Sync>;
 
 /// The declarative separation constraint of §5.2: "indicating which
 /// operation and argument combinations potentially interfere", plus an
@@ -181,7 +181,7 @@ impl TxnRuntime {
 
     /// Prepare phase: validate ordering predicates. Returns the vote.
     #[must_use]
-    pub fn prepare(&self, txn: TxnId) -> bool {
+    fn prepare(&self, txn: TxnId) -> bool {
         let mut resources = self.resources.lock();
         let Some(res) = resources.get_mut(&txn) else {
             // Nothing done here: trivially prepared.
@@ -340,7 +340,7 @@ pub fn control_interface_type() -> InterfaceType {
 
 /// The control servant: lets a remote coordinator drive this capsule's
 /// prepare/commit/abort (the participant side of two-phase commit).
-pub struct TxnControl {
+struct TxnControl {
     runtime: Arc<TxnRuntime>,
 }
 

@@ -107,10 +107,6 @@ pub mod protocols {
 
     /// The in-process / simulated-network REX execution protocol.
     pub const REX_SIM: ProtocolId = ProtocolId(1);
-    /// The REX execution protocol framed over TCP.
-    pub const REX_TCP: ProtocolId = ProtocolId(2);
-    /// The stream (flow-oriented) protocol of `odp-streams`.
-    pub const STREAM: ProtocolId = ProtocolId(3);
 }
 
 /// Allocates interface identifiers unique across a whole system.
@@ -128,7 +124,7 @@ pub struct InterfaceIdAllocator {
 
 impl InterfaceIdAllocator {
     /// Number of low bits reserved for the per-node counter.
-    pub const LOCAL_BITS: u32 = 40;
+    const LOCAL_BITS: u32 = 40;
 
     /// Creates an allocator for `node`.
     ///

@@ -162,9 +162,7 @@ impl OutcomeSig {
     }
 
     /// Name of the conventional success termination.
-    pub const OK: &'static str = "ok";
-    /// Name of the conventional failure termination, carrying a message.
-    pub const FAIL: &'static str = "fail";
+    const OK: &'static str = "ok";
 }
 
 impl fmt::Debug for OutcomeSig {

@@ -16,15 +16,11 @@
 //!   people and traders — conformance itself never consults them);
 //! * **additional match constraints**: administrator-asserted rules that
 //!   *narrow* structural matching (e.g. "anything matching `printer` must
-//!   also declare a `status` operation") and explicit *compatibility
-//!   axioms* that widen it between named types whose structural signatures
-//!   are unrelated but which an administrator certifies interoperable
-//!   (e.g. across a technology boundary where a federation gateway will
-//!   translate).
+//!   also declare a `status` operation").
 
 use crate::conformance::{conforms, ConformanceError};
 use crate::signature::InterfaceType;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Errors produced by the type manager.
@@ -33,11 +29,6 @@ pub enum TypeManagerError {
     /// A type name was registered twice with different signatures.
     Conflict {
         /// The conflicting name.
-        name: String,
-    },
-    /// The named type is unknown.
-    Unknown {
-        /// The unknown name.
         name: String,
     },
     /// Structural conformance failed.
@@ -58,7 +49,6 @@ impl fmt::Display for TypeManagerError {
                     "type name `{name}` already registered with a different signature"
                 )
             }
-            TypeManagerError::Unknown { name } => write!(f, "unknown type name `{name}`"),
             TypeManagerError::NotConformant(e) => write!(f, "signatures do not conform: {e}"),
             TypeManagerError::ConstraintRejected { constraint } => {
                 write!(f, "match rejected by constraint `{constraint}`")
@@ -80,14 +70,12 @@ impl std::error::Error for TypeManagerError {
 ///
 /// Constraints receive the provided and required signatures and may veto a
 /// structurally sound match.
-pub type MatchConstraint = Box<dyn Fn(&InterfaceType, &InterfaceType) -> bool + Send + Sync>;
+type MatchConstraint = Box<dyn Fn(&InterfaceType, &InterfaceType) -> bool + Send + Sync>;
 
 /// Registry of named interface types plus additional match rules.
 #[derive(Default)]
 pub struct TypeManager {
     names: HashMap<String, InterfaceType>,
-    /// Pairs (provided-name, required-name) certified compatible by fiat.
-    axioms: HashSet<(String, String)>,
     constraints: Vec<(String, MatchConstraint)>,
 }
 
@@ -121,19 +109,6 @@ impl TypeManager {
         }
     }
 
-    /// Looks up a named type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TypeManagerError::Unknown`] if the name is not registered.
-    pub fn lookup(&self, name: &str) -> Result<&InterfaceType, TypeManagerError> {
-        self.names
-            .get(name)
-            .ok_or_else(|| TypeManagerError::Unknown {
-                name: name.to_owned(),
-            })
-    }
-
     /// Number of registered names.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -149,19 +124,6 @@ impl TypeManager {
     /// Iterates over registered `(name, type)` pairs in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &InterfaceType)> {
         self.names.iter().map(|(n, t)| (n.as_str(), t))
-    }
-
-    /// Certifies that services registered as `provided_name` may serve
-    /// clients requiring `required_name` even though the signatures are
-    /// structurally unrelated (a federation gateway is expected to
-    /// translate). This *widens* matching.
-    pub fn assert_compatible<S1: Into<String>, S2: Into<String>>(
-        &mut self,
-        provided_name: S1,
-        required_name: S2,
-    ) {
-        self.axioms
-            .insert((provided_name.into(), required_name.into()));
     }
 
     /// Installs a named constraint that can veto structurally sound
@@ -190,30 +152,6 @@ impl TypeManager {
         self.check_constraints(provided, required)
     }
 
-    /// Match check between *named* types: a compatibility axiom short-cuts
-    /// the structural check (constraints still apply); otherwise behaves as
-    /// [`TypeManager::check_match`] on the underlying signatures.
-    ///
-    /// # Errors
-    ///
-    /// [`TypeManagerError::Unknown`] for unregistered names, otherwise as
-    /// [`TypeManager::check_match`].
-    pub fn check_named_match(
-        &self,
-        provided_name: &str,
-        required_name: &str,
-    ) -> Result<(), TypeManagerError> {
-        let provided = self.lookup(provided_name)?.clone();
-        let required = self.lookup(required_name)?.clone();
-        if self
-            .axioms
-            .contains(&(provided_name.to_owned(), required_name.to_owned()))
-        {
-            return self.check_constraints(&provided, &required);
-        }
-        self.check_match(&provided, &required)
-    }
-
     fn check_constraints(
         &self,
         provided: &InterfaceType,
@@ -234,7 +172,6 @@ impl fmt::Debug for TypeManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TypeManager")
             .field("names", &self.names.len())
-            .field("axioms", &self.axioms.len())
             .field("constraints", &self.constraints.len())
             .finish()
     }
@@ -262,11 +199,9 @@ mod tests {
     fn register_and_lookup() {
         let mut tm = TypeManager::new();
         tm.register("printer", printer()).unwrap();
-        assert_eq!(tm.lookup("printer").unwrap(), &printer());
-        assert!(matches!(
-            tm.lookup("scanner"),
-            Err(TypeManagerError::Unknown { .. })
-        ));
+        let lookup = |name: &str| tm.iter().find(|(n, _)| *n == name).map(|(_, t)| t.clone());
+        assert_eq!(lookup("printer"), Some(printer()));
+        assert_eq!(lookup("scanner"), None);
     }
 
     #[test]
@@ -302,23 +237,6 @@ mod tests {
             tm.check_match(&printer(), &printer()),
             Err(TypeManagerError::ConstraintRejected { .. })
         ));
-    }
-
-    #[test]
-    fn axioms_widen_named_matching() {
-        let mut tm = TypeManager::new();
-        let legacy = InterfaceTypeBuilder::new()
-            .interrogation("lpr", vec![TypeSpec::Bytes], vec![OutcomeSig::ok(vec![])])
-            .build();
-        tm.register("printer", printer()).unwrap();
-        tm.register("legacy-printer", legacy).unwrap();
-        // Structurally unrelated…
-        assert!(tm.check_named_match("legacy-printer", "printer").is_err());
-        // …until an administrator certifies a gateway translation exists.
-        tm.assert_compatible("legacy-printer", "printer");
-        assert!(tm.check_named_match("legacy-printer", "printer").is_ok());
-        // Axioms are directional.
-        assert!(tm.check_named_match("printer", "legacy-printer").is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! * every length is checked against the bytes actually remaining before
 //!   any allocation sized by it;
-//! * nesting depth is bounded by [`MAX_DEPTH`];
+//! * nesting depth is bounded by `MAX_DEPTH` (32);
 //! * varints are bounded at 10 bytes;
 //! * trailing garbage after a complete payload is an error (it usually
 //!   indicates a framing bug and would otherwise hide corruption).
@@ -21,7 +21,7 @@ use odp_types::{
 use std::fmt;
 
 /// Maximum nesting depth accepted for values, specs and signatures.
-pub const MAX_DEPTH: usize = 32;
+const MAX_DEPTH: usize = 32;
 
 /// Cap on speculative pre-allocation from attacker-controlled counts.
 pub const MAX_PREALLOC: usize = 1024;
@@ -39,7 +39,7 @@ pub enum DecodeError {
     LengthOverflow(u64),
     /// String bytes were not valid UTF-8.
     InvalidUtf8,
-    /// Nesting exceeded [`MAX_DEPTH`].
+    /// Nesting exceeded `MAX_DEPTH` (32).
     TooDeep,
     /// The wire version byte is not supported.
     UnsupportedVersion(u8),
@@ -158,7 +158,7 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     /// As [`Cursor::varint`].
-    pub fn signed(&mut self) -> Result<i64, DecodeError> {
+    fn signed(&mut self) -> Result<i64, DecodeError> {
         Ok(unzigzag(self.varint()?))
     }
 

@@ -124,11 +124,11 @@ fn put_signed<B: EncodeBuf + ?Sized>(buf: &mut B, v: i64) {
 
 /// Zigzag-encodes a signed integer.
 #[must_use]
-pub fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-/// Inverts [`zigzag`].
+/// Inverts the encoder's zigzag mapping.
 #[must_use]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)

@@ -69,24 +69,10 @@ impl InterfaceRef {
         }
     }
 
-    /// Returns a copy with the relocator set (builder style).
-    #[must_use]
-    pub fn with_relocator(mut self, relocator: NodeId) -> Self {
-        self.relocator = Some(relocator);
-        self
-    }
-
     /// Returns a copy marked as denoting a replica group.
     #[must_use]
     pub fn with_group(mut self, group: GroupId) -> Self {
         self.group = Some(group);
-        self
-    }
-
-    /// Returns a copy advertising the given protocols.
-    #[must_use]
-    pub fn with_protocols(mut self, protocols: Vec<ProtocolId>) -> Self {
-        self.protocols = protocols;
         self
     }
 
@@ -97,19 +83,6 @@ impl InterfaceRef {
         self.home = new_home;
         self.epoch += 1;
         self
-    }
-
-    /// True if this reference and `other` denote the same interface
-    /// (regardless of staleness of location data).
-    #[must_use]
-    pub fn same_interface(&self, other: &InterfaceRef) -> bool {
-        self.iface == other.iface
-    }
-
-    /// Whether the interface advertises the given protocol.
-    #[must_use]
-    pub fn speaks(&self, protocol: ProtocolId) -> bool {
-        self.protocols.contains(&protocol)
     }
 }
 
@@ -135,24 +108,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_style_construction() {
-        let r = InterfaceRef::new(InterfaceId(1), NodeId(2), InterfaceType::empty())
-            .with_relocator(NodeId(0))
-            .with_group(GroupId(5))
-            .with_protocols(vec![protocols::REX_TCP]);
-        assert_eq!(r.relocator, Some(NodeId(0)));
-        assert_eq!(r.group, Some(GroupId(5)));
-        assert!(r.speaks(protocols::REX_TCP));
-        assert!(!r.speaks(protocols::REX_SIM));
-    }
-
-    #[test]
     fn migration_bumps_epoch_keeps_identity() {
         let r = InterfaceRef::new(InterfaceId(1), NodeId(2), InterfaceType::empty());
         let moved = r.clone().moved_to(NodeId(3));
         assert_eq!(moved.home, NodeId(3));
         assert_eq!(moved.epoch, 1);
-        assert!(r.same_interface(&moved));
+        assert_eq!(r.iface, moved.iface);
         assert_ne!(r, moved);
     }
 

@@ -26,12 +26,12 @@ use bytes::{Buf, Bytes};
 pub(crate) mod tag {
     /// Priority byte: admitted ahead of everything else (control-plane
     /// traffic: relocation, supervision, probes).
-    pub const PRIO_HIGH: u8 = 0;
+    pub(super) const PRIO_HIGH: u8 = 0;
     /// Priority byte: ordinary application interrogations.
-    pub const PRIO_NORMAL: u8 = 1;
+    pub(super) const PRIO_NORMAL: u8 = 1;
     /// Priority byte: bulk / best-effort traffic (stream frames,
     /// announcements), first to be shed.
-    pub const PRIO_LOW: u8 = 2;
+    pub(super) const PRIO_LOW: u8 = 2;
 }
 
 /// Scheduling class of one invocation, carried in the request envelope
@@ -54,7 +54,7 @@ impl CallPriority {
 
     /// The wire byte for this priority.
     #[must_use]
-    pub fn to_wire(self) -> u8 {
+    fn to_wire(self) -> u8 {
         match self {
             CallPriority::High => tag::PRIO_HIGH,
             CallPriority::Normal => tag::PRIO_NORMAL,

@@ -10,7 +10,7 @@
 //! by copy, and `Interface` carries an [`InterfaceRef`].
 
 use crate::ifref::InterfaceRef;
-use odp_types::{InterfaceType, TypeSpec};
+use odp_types::InterfaceType;
 use std::fmt;
 
 /// A UTF-8 string that is either owned or a zero-copy slice of an
@@ -256,36 +256,6 @@ impl Value {
         Value::Bytes(b.into())
     }
 
-    /// The most specific [`TypeSpec`] describing this value.
-    ///
-    /// Empty and heterogeneous sequences are typed `Seq(Any)`.
-    #[must_use]
-    pub fn type_spec(&self) -> TypeSpec {
-        match self {
-            Value::Unit => TypeSpec::Unit,
-            Value::Bool(_) => TypeSpec::Bool,
-            Value::Int(_) => TypeSpec::Int,
-            Value::Float(_) => TypeSpec::Float,
-            Value::Str(_) => TypeSpec::Str,
-            Value::Bytes(_) => TypeSpec::Bytes,
-            Value::Seq(items) => {
-                let elem = items.first().map_or(TypeSpec::Any, Value::type_spec);
-                if items.iter().skip(1).all(|v| v.type_spec() == elem) {
-                    TypeSpec::seq(elem)
-                } else {
-                    TypeSpec::seq(TypeSpec::Any)
-                }
-            }
-            Value::Record(fields) => TypeSpec::Record(
-                fields
-                    .iter()
-                    .map(|(n, v)| (n.clone(), v.type_spec()))
-                    .collect(),
-            ),
-            Value::Interface(r) => TypeSpec::interface(r.ty.clone()),
-        }
-    }
-
     /// True if this value contains no interface references anywhere, i.e.
     /// it is a pure constant-state ADT copy (§4.5).
     #[must_use]
@@ -337,15 +307,6 @@ impl Value {
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Accessor: float payload.
-    #[must_use]
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
             _ => None,
         }
     }
@@ -507,21 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn type_spec_of_shapes() {
-        assert_eq!(Value::Int(1).type_spec(), TypeSpec::Int);
-        assert_eq!(
-            Value::from(vec![1i64, 2]).type_spec(),
-            TypeSpec::seq(TypeSpec::Int)
-        );
-        assert_eq!(Value::Seq(vec![]).type_spec(), TypeSpec::seq(TypeSpec::Any));
-        let rec = Value::record([("x", Value::Int(1)), ("s", Value::str("hi"))]);
-        assert_eq!(
-            rec.type_spec(),
-            TypeSpec::record([("x", TypeSpec::Int), ("s", TypeSpec::Str)])
-        );
-    }
-
-    #[test]
     fn constant_state_propagates() {
         assert!(Value::record([("x", Value::Int(1))]).is_constant_state());
         let v = Value::record([("r", Value::Interface(some_ref()))]);
@@ -552,7 +498,6 @@ mod tests {
         assert_eq!(Value::Int(4).as_int(), Some(4));
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::str("x").as_str(), Some("x"));
-        assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
         assert!(Value::Int(4).as_str().is_none());
         let rec = Value::record([("k", Value::Int(1))]);
         assert_eq!(rec.field("k"), Some(&Value::Int(1)));
